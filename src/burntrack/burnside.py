@@ -432,8 +432,10 @@ def todd_coxeter(
         return c
 
     def define(c: int, x: int) -> int:
+        nonlocal live
         if len(table) >= max_cosets:
             raise EnumerationIncomplete(len(table), live, max_cosets)
+        live += 1
         d = len(table)
         table.append([None] * width)
         parent.append(d)

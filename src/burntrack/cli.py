@@ -84,6 +84,7 @@ from .graphmap import (
     red_projection,
     yellow_loop_audit,
 )
+from .limits import GrowthCapExceeded, letter_cap
 from .matrices import (
     is_irreducible,
     is_primitive,
@@ -480,8 +481,12 @@ def _advance(obj, state, steps: int = 1):
     if isinstance(obj, StratifiedGraphMap):
         return f_sharp(obj, state, steps)
     if isinstance(obj, BasisMap):
+        cap = letter_cap()
         cur = state
         for _ in range(steps):
+            bound = obj.applied_length_bound(cur)
+            if bound > cap:
+                raise GrowthCapExceeded(bound, cap)
             cur = obj.apply(cur)
         return cur
     return obj.iterate(state, steps)

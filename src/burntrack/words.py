@@ -9,19 +9,22 @@ between threads.
 
 Repetition search is exact.  ``find_power_runs`` reports each maximal
 periodic stretch once, keyed by its primitive period, and
-``max_power_index`` derives the largest integer power from those stretches.
-The detector does quadratic work overall (a periodicity scan per period
-length, vectorized for long words); the cubic brute-force scan lives in the
-test suite as an independent oracle.
+``max_power_index`` gives the largest integer power.  Both encode the word
+as bytes (one per letter, or a fixed 2 or 4 for alphabets past 256 letters)
+and scan once per period length p: the XOR of the word with its shift by p
+is zero exactly where the two agree, and ``bytes.find`` locates the zero
+blocks long enough to matter.  That is quadratic work overall, at C speed
+per period; the cubic brute-force scan lives in the test suite as an
+independent oracle.
 """
 
 from __future__ import annotations
 
+import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 __all__ = [
     "Alphabet",
@@ -39,8 +42,8 @@ __all__ = [
 
 _INV_SUFFIX = "^-1"
 
-# Words at least this long take the vectorized periodicity scan.
-_NUMPY_CUTOFF = 192
+# A nonzero byte of a shifted XOR marks where a periodic stretch ends.
+_NONZERO = re.compile(rb"[^\x00]")
 
 
 def _check_letter_name(name: str) -> str:
@@ -382,31 +385,49 @@ def cyclic_reduce(word: Word) -> tuple[GroupWord, GroupWord]:
     )
 
 
-def _border_table(seq: Sequence[int]) -> list[int]:
-    """Failure function: border[i] = longest proper border of seq[:i]."""
-    n = len(seq)
-    border = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and seq[i] != seq[k]:
-            k = border[k]
-        if seq[i] == seq[k]:
-            k += 1
-        border[i + 1] = k
-    return border
+def _encode(seq: Sequence[int]) -> tuple[bytes, int]:
+    """Encode letters at a fixed width: one byte each below 256, else 2 or 4."""
+    try:
+        return bytes(seq), 1
+    except ValueError:  # an index past 255
+        codes = array("H" if max(seq) < 65536 else "I", seq)
+        return codes.tobytes(), codes.itemsize
 
 
-def _smallest_period(seq: Sequence[int]) -> int:
-    if not seq:
-        raise ValueError("empty sequence has no period")
-    border = _border_table(seq)
-    return len(seq) - border[len(seq)]
+def _root_length(code: bytes, width: int) -> int:
+    """Letter length of the primitive root: the least whole-letter rotation fixing the word."""
+    doubled = code + code
+    shift = doubled.find(code, 1)
+    while shift % width:
+        shift = doubled.find(code, shift + 1)
+    return shift // width
 
 
-def _is_primitive_seq(seq: Sequence[int]) -> bool:
-    p = _smallest_period(seq)
-    n = len(seq)
-    return p == n or n % p != 0
+def _equal_blocks(
+    number: int, size: int, width: int, p: int, need: int
+) -> Iterator[tuple[int, int]]:
+    """Maximal letter intervals [k, j), j - k >= need >= 1, with seq[i] == seq[i + p] on them.
+
+    ``number`` is the encoded word of ``size`` bytes, read as one big-endian
+    integer.  Its XOR with itself shifted p letters right has, from byte
+    p*width on, a zero letter exactly where seq[i] == seq[i - p].  A zero
+    byte run may start or end inside a letter when letters are wider than a
+    byte, so only the whole letters it covers count.
+    """
+    shift = p * width
+    diff = (number ^ (number >> 8 * shift)).to_bytes(size, "big")
+    zeros = bytes(need * width)
+    pos = shift
+    while True:
+        a = diff.find(zeros, pos)
+        if a < 0:
+            return
+        hit = _NONZERO.search(diff, a + len(zeros))
+        b = hit.start() if hit else size
+        pos = b + 1
+        k, j = -(-a // width) - p, b // width - p
+        if j - k >= need:
+            yield k, j
 
 
 def primitive_root(word: Word) -> tuple[Word, int]:
@@ -414,68 +435,27 @@ def primitive_root(word: Word) -> tuple[Word, int]:
     n = len(word)
     if n == 0:
         raise ValueError("the empty word has no primitive root")
-    seq = word.indices
-    p = _smallest_period(seq)
-    if n % p == 0:
+    p = _root_length(*_encode(word.indices))
+    if p < n:
         return word[:p], n // p
     return word, 1
 
 
-def _runs_pure(seq: Sequence[int]) -> list[tuple[int, int, int]]:
-    """All maximal periodic stretches as (start, period_length, stretch_length).
+def _runs(seq: Sequence[int], min_exponent: int) -> list[tuple[int, int, int]]:
+    """Maximal periodic stretches with at least ``min_exponent`` full periods.
 
-    A stretch is reported for its primitive period only, and must contain at
-    least two full periods.  Quadratic scan, one pass per period length.
+    Sorted (start, period_length, stretch_length) triples; a stretch is
+    reported for its primitive period only.  One pass per period length.
     """
-    n = len(seq)
-    out: list[tuple[int, int, int]] = []
-    for p in range(1, n // 2 + 1):
-        k = 0
-        limit = n - p
-        while k < limit:
-            if seq[k] != seq[k + p]:
-                k += 1
-                continue
-            j = k
-            while j < limit and seq[j] == seq[j + p]:
-                j += 1
-            # equality block [k, j) means seq has period p on [k, j + p)
-            length = j + p - k
-            if length >= 2 * p and _is_primitive_seq(seq[k : k + p]):
-                out.append((k, p, length))
-            k = j + 1
-    out.sort(key=lambda r: (r[0], r[1]))
+    code, width = _encode(seq)
+    number = int.from_bytes(code, "big")
+    out = []
+    for p in range(1, len(seq) // min_exponent + 1):
+        for k, j in _equal_blocks(number, len(code), width, p, (min_exponent - 1) * p):
+            if _root_length(code[k * width : (k + p) * width], width) == p:
+                out.append((k, p, j + p - k))
+    out.sort()
     return out
-
-
-def _runs_numpy(seq: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Same contract as _runs_pure, vectorized per period length."""
-    n = len(seq)
-    arr = np.asarray(seq, dtype=np.int64)
-    out: list[tuple[int, int, int]] = []
-    for p in range(1, n // 2 + 1):
-        eq = arr[:-p] == arr[p:]
-        if not eq.any():
-            continue
-        padded = np.empty(eq.size + 2, dtype=np.int8)
-        padded[0] = 0
-        padded[-1] = 0
-        padded[1:-1] = eq
-        edges = np.diff(padded)
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        for k, j in zip(starts.tolist(), ends.tolist()):
-            length = j + p - k
-            if length >= 2 * p and _is_primitive_seq(seq[k : k + p]):
-                out.append((k, p, length))
-    out.sort(key=lambda r: (r[0], r[1]))
-    return out
-
-
-def _maximal_runs(seq: Sequence[int]) -> list[tuple[int, int, int]]:
-    if len(seq) >= _NUMPY_CUTOFF:
-        return _runs_numpy(seq)
-    return _runs_pure(seq)
 
 
 @dataclass(frozen=True)
@@ -523,20 +503,10 @@ def find_power_runs(word: Word, min_exponent: int) -> list[PowerRun]:
     """
     if min_exponent < 2:
         raise ValueError(f"min_exponent must be >= 2, got {min_exponent}")
-    seq = word.indices
-    runs = []
-    for start, p, length in _maximal_runs(seq):
-        m = length // p
-        if m >= min_exponent:
-            runs.append(
-                PowerRun(
-                    start=start,
-                    period=word[start : start + p],
-                    exponent=m,
-                    remainder=length - m * p,
-                )
-            )
-    return runs
+    return [
+        PowerRun(start=k, period=word[k : k + p], exponent=length // p, remainder=length % p)
+        for k, p, length in _runs(word.indices, min_exponent)
+    ]
 
 
 def max_power_index(word: Word) -> int:
@@ -544,12 +514,18 @@ def max_power_index(word: Word) -> int:
 
     The empty word has index 0; any nonempty word has index at least 1.
     """
-    seq = word.indices
-    if not seq:
+    n = len(word)
+    if n == 0:
         return 0
+    code, width = _encode(word.indices)
+    number = int.from_bytes(code, "big")
     best = 1
-    for _, p, length in _maximal_runs(seq):
-        m = length // p
-        if m > best:
-            best = m
+    p = 1
+    # A stretch of period p beats ``best`` only when its equality block has
+    # at least best*p letters.  Non-primitive periods need no test: each
+    # never beats its primitive root.
+    while (best + 1) * p <= n:
+        for k, j in _equal_blocks(number, len(code), width, p, best * p):
+            best = max(best, (j - k + p) // p)
+        p += 1
     return best

@@ -302,7 +302,17 @@ class TestToddCoxeter:
             todd_coxeter(2, [gw("a a")], max_cosets=50)
         assert err.value.allocated == 50
         assert err.value.max_cosets == 50
-        assert err.value.live <= 50
+        assert 0 < err.value.live <= err.value.allocated
+        # a a defines cosets without coincidences, so every one is live
+        assert err.value.live == 50
+        # cubes of the words of length 1 and 2 in F3 collapse cosets early
+        F3 = InverseAlphabet("abc")
+        bases = [(x,) for x in range(6)]
+        bases += [(x, y) for x in range(6) for y in range(6) if y not in (x, x ^ 1)]
+        cubes = [GroupWord.from_indices(F3, u * 3) for u in bases]
+        with pytest.raises(EnumerationIncomplete) as err:
+            todd_coxeter(3, cubes, max_cosets=200)
+        assert 0 < err.value.live < err.value.allocated == 200
 
     def test_relator_validation(self):
         with pytest.raises(TypeError, match="GroupWord"):

@@ -263,6 +263,14 @@ class TestOrbit:
         assert code == EXIT_ERROR
         assert "wants a map" in err
 
+    def test_basis_map_orbit_respects_letter_cap(self, monkeypatch, capsys):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "session.bt"
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "1000")
+        code, out, err = run(capsys, "-s", str(demo), "orbit", "fib", "b", "--depth", "20")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "but the cap is 1000" in err
+
 
 class TestPowerIndex:
     def test_fib_orbit_stays_below_four(self, session_path, capsys):

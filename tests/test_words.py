@@ -20,7 +20,7 @@ from burntrack.words import (
     primitive_root,
     reduce,
 )
-from burntrack.words import _runs_numpy, _runs_pure
+from burntrack.words import _runs
 
 from .oracles import (
     is_primitive_seq,
@@ -39,6 +39,25 @@ def word(text, alphabet=AB):
 
 def runs_as_tuples(runs):
     return [(r.start, len(r.period), r.exponent, r.remainder) for r in runs]
+
+
+def scanned(seq, min_exponent=2):
+    """The scanner's runs as (start, period_length, exponent, remainder)."""
+    return [(k, p, length // p, length % p) for k, p, length in _runs(seq, min_exponent)]
+
+
+def assert_maximal_primitive(seq, runs, min_exponent):
+    """Each run has a primitive period, enough periods, and extends no further."""
+    for r in runs:
+        assert is_primitive_seq(r.period.indices)
+        assert r.exponent >= min_exponent
+        p = len(r.period)
+        for k in range(r.start, r.stretch_end - p):
+            assert seq[k] == seq[k + p]
+        if r.start > 0:
+            assert seq[r.start - 1] != seq[r.start - 1 + p]
+        if r.stretch_end < len(seq):
+            assert seq[r.stretch_end] != seq[r.stretch_end - p]
 
 
 class TestAlphabets:
@@ -289,17 +308,50 @@ class TestPowerRuns:
                 == maximal_runs_bruteforce(seq, 2)
             ), seq
 
-    def test_numpy_path_matches_pure(self):
+    def test_scanner_matches_bruteforce(self):
         rng = random.Random(7)
         for _ in range(40):
             n = rng.randrange(200, 400)
             seq = tuple(rng.randrange(2) for _ in range(n))
-            assert _runs_numpy(seq) == _runs_pure(seq)
+            assert scanned(seq) == maximal_runs_bruteforce(seq, 2), seq
         seq = (0, 1) * 120 + (2,)
-        assert _runs_numpy(seq) == _runs_pure(seq) == [(0, 2, 240)]
+        assert _runs(seq, 2) == [(0, 2, 240)]
+
+    def test_wide_alphabet_against_bruteforce(self):
+        # 260 letter indices take two bytes each, indices past 65535 four.
+        # Each pool pairs letters that agree in some bytes, so zero bytes of
+        # the shifted XOR often start or end inside a letter.
+        alph = InverseAlphabet([f"x{i}" for i in range(130)])
+        rng = random.Random(260)
+        for pool in [(0, 1, 3, 256, 257, 259), (0, 1, 256, 65536, 65537, 65792)]:
+            for _ in range(150):
+                seq = [rng.choice(pool) for _ in range(rng.randrange(0, 30))]
+                u = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+                at = rng.randrange(len(seq) + 1)
+                seq[at:at] = u * rng.randrange(2, 6)
+                seq = tuple(seq)
+                assert scanned(seq) == maximal_runs_bruteforce(seq, 2), seq
+                if max(seq) < len(alph):
+                    w = Word.from_indices(alph, seq)
+                    assert max_power_index(w) == power_index_bruteforce(seq), seq
+                    assert runs_as_tuples(find_power_runs(w, 2)) == scanned(seq), seq
+        for seq in [(0, 0, 0, 256) * 2, (256,) * 3, (1, 257, 1)]:
+            w = Word.from_indices(alph, seq)
+            u, m = primitive_root(w)
+            assert u**m == w and is_primitive_seq(u.indices)
+
+    def test_fibonacci_scale(self):
+        seq = (0,)
+        while len(seq) < 10946:
+            seq = tuple(k for i in seq for k in ((0, 1) if i == 0 else (0,)))
+        assert len(seq) == 10946
+        w = Word.from_indices(AB, seq)
+        assert max_power_index(w) == 3
+        runs = find_power_runs(w, 3)
+        assert runs
+        assert_maximal_primitive(seq, runs, 3)
 
     def test_long_word_against_bruteforce(self):
-        # exercises the vectorized path end to end
         rng = random.Random(11)
         seq = tuple(rng.randrange(2) for _ in range(250))
         w = Word.from_indices(AB, seq)
@@ -310,14 +362,12 @@ class TestPowerRuns:
     @settings(max_examples=60, deadline=None)
     def test_runs_property(self, seq):
         w = Word.from_indices(AB, seq)
-        for r in find_power_runs(w, 2):
-            assert is_primitive_seq(r.period.indices)
-            assert r.exponent >= 2
-            p = len(r.period)
-            # the stretch really repeats with period p and is maximal
-            for k in range(r.start, r.stretch_end - p):
-                assert seq[k] == seq[k + p]
-            if r.start > 0:
-                assert seq[r.start - 1] != seq[r.start - 1 + p]
-            if r.stretch_end < len(seq):
-                assert seq[r.stretch_end] != seq[r.stretch_end - p]
+        assert_maximal_primitive(seq, find_power_runs(w, 2), 2)
+
+    @given(st.lists(st.integers(0, 1), max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_min_exponent_filters_squares(self, seq):
+        w = Word.from_indices(AB, seq)
+        squares = find_power_runs(w, 2)
+        for m in range(2, 6):
+            assert find_power_runs(w, m) == [r for r in squares if r.exponent >= m]
