@@ -36,7 +36,7 @@ def gw(text):
 params = MoveParams(5, 1)  # n=5, xi=1: any run with m >= 2 qualifies
 word = gw("aaaaaaab")
 for m in find_elementary_moves(word, params):
-    print(move_log([m])[0], "  result:", m.result.compact())
+    print(move_log([m]), "  result:", m.result.compact())
 
 # a run can drop below zero exponent; the replacement flips the period
 print("a^3 b with n=5:", find_elementary_moves(gw("aaab"), params)[0].result.compact())

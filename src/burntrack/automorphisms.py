@@ -45,7 +45,7 @@ class BasisMap:
     is invertible is a separate question (:func:`verify_automorphism`).
     """
 
-    __slots__ = ("_alphabet", "_table")
+    __slots__ = ("_alphabet", "_table", "_longest")
 
     def __init__(self, alphabet: InverseAlphabet, images: Mapping[str, Word | str]):
         if not alphabet.has_inverses:
@@ -70,6 +70,7 @@ class BasisMap:
             table[i ^ 1] = tuple(k ^ 1 for k in reversed(seq))
         self._alphabet = alphabet
         self._table = tuple(table)
+        self._longest = max(map(len, table), default=0)
 
     @classmethod
     def identity(cls, alphabet: InverseAlphabet) -> "BasisMap":
@@ -85,10 +86,21 @@ class BasisMap:
     def letter_image(self, i: int) -> tuple[int, ...]:
         return self._table[i]
 
-    def apply(self, word: Word) -> GroupWord:
-        """Image of a word, freely reduced (single fused pass)."""
+    def apply(self, word: Word, max_letters: int | None = None) -> GroupWord:
+        """Image of a word, freely reduced (single fused pass).
+
+        Raises :class:`GrowthCapExceeded` before building anything when the
+        image before cancellation would be longer than the letter cap.  The
+        exact length is only summed when the longest letter image times the
+        word length could exceed the cap.
+        """
         if word.alphabet != self._alphabet:
             raise ValueError("word is over a different alphabet")
+        cap = letter_cap(max_letters)
+        if len(word) * self._longest > cap:
+            needed = self.applied_length_bound(word)
+            if needed > cap:
+                raise GrowthCapExceeded(needed, cap)
         table = self._table
         out: list[int] = []
         push = out.append
@@ -150,7 +162,7 @@ def _compose_capped(outer: BasisMap, inner: BasisMap, cap: int) -> BasisMap:
         total += outer.applied_length_bound(src)
         if total > cap:
             raise GrowthCapExceeded(total, cap)
-        images[name] = outer.apply(src)
+        images[name] = outer.apply(src, max_letters=cap)
     return BasisMap(alph, images)
 
 
@@ -267,7 +279,7 @@ def growth_rate_estimate(
         bound = sum(f.applied_length_bound(w) for w in current)
         if bound > cap:
             raise GrowthCapExceeded(bound, cap)
-        current = [f.apply(w) for w in current]
+        current = [f.apply(w, max_letters=cap) for w in current]
         lengths.append(sum(len(w) for w in current))
     prev, last = lengths[-2], lengths[-1]
     estimate = last / prev if prev else 0.0

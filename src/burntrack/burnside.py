@@ -15,7 +15,11 @@ exponent n defined by relations that are themselves n-th powers is the
 universal exponent-n quotient, no order formula needed.
 
 :func:`induced_order` computes the exact order of the permutation a basis
-map induces on a certified quotient.
+map induces on a certified quotient.  It never applies the map to whole
+words: the table of the trivial subgroup is the group's right regular
+action, so the permutation is grown along the breadth-first spanning tree
+of the table, each new element costing one walk of a single letter's
+image from its parent's image.
 """
 
 from __future__ import annotations
@@ -327,7 +331,7 @@ class CosetTable:
     identical tables.
     """
 
-    __slots__ = ("_alphabet", "_rows", "_allocated")
+    __slots__ = ("_alphabet", "_rows", "_allocated", "_tree")
 
     def __init__(self, alphabet: InverseAlphabet, rows: Sequence[Sequence[int]], allocated: int):
         n = len(rows)
@@ -338,6 +342,7 @@ class CosetTable:
         self._alphabet = alphabet
         self._rows = tuple(tuple(row) for row in rows)
         self._allocated = allocated
+        self._tree: tuple[list[int], list[int]] | None = None
 
     @property
     def alphabet(self) -> InverseAlphabet:
@@ -363,23 +368,46 @@ class CosetTable:
             c = rows[c][i]
         return c
 
+    def spanning_tree(self) -> tuple[list[int], list[int]]:
+        """Breadth-first spanning tree from coset 0, as two flat int lists.
+
+        Entry k is the k-th tree edge in discovery order: ``parents[k]`` is
+        a coset and ``letters[k]`` a letter, and the edge leads to
+        ``step(parents[k], letters[k])``.  Every parent was reached by an
+        earlier edge (or is 0), so one pass in this order can extend any
+        per-coset quantity along the tree.  Computed once per table.
+        """
+        if self._tree is None:
+            rows = self._rows
+            width = len(self._alphabet.letters)
+            seen = [False] * len(rows)
+            seen[0] = True
+            parents: list[int] = []
+            letters: list[int] = []
+            queue = [0]
+            head = 0
+            while head < len(queue):
+                c = queue[head]
+                head += 1
+                row = rows[c]
+                for x in range(width):
+                    d = row[x]
+                    if not seen[d]:
+                        seen[d] = True
+                        parents.append(c)
+                        letters.append(x)
+                        queue.append(d)
+            self._tree = (parents, letters)
+        return self._tree
+
     def rep_words(self) -> tuple[GroupWord, ...]:
         """Shortest (then letter-order first) word reaching each coset from 0."""
-        alph = self._alphabet
-        reps: list[tuple[int, ...] | None] = [None] * len(self._rows)
+        rows = self._rows
+        reps: list[tuple[int, ...] | None] = [None] * len(rows)
         reps[0] = ()
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            c = queue[head]
-            head += 1
-            base = reps[c]
-            for x in range(len(alph.letters)):
-                d = self._rows[c][x]
-                if reps[d] is None:
-                    reps[d] = base + (x,)
-                    queue.append(d)
-        return tuple(GroupWord.from_indices(alph, r) for r in reps)
+        for c, x in zip(*self.spanning_tree()):
+            reps[rows[c][x]] = reps[c] + (x,)
+        return tuple(GroupWord.from_indices(self._alphabet, r) for r in reps)
 
     def to_csv(self) -> str:
         header = "coset," + ",".join(self._alphabet.letters)
@@ -759,6 +787,17 @@ def induced_order(f: BasisMap, quotient: FiniteQuotient, max_k: int = 10_000) ->
     which is re-checked here by requiring the induced action to permute the
     elements.  The order is the cycle-length lcm, reported as ExceedsBound
     when above ``max_k``.
+
+    The permutation pi sends element e to the image of ``f(rep_word(e))``.
+    It is built from the images of the letters alone, along the table's
+    breadth-first spanning tree: pi(0) = 0, and for a tree edge d = c.x,
+    ``rep_word(d)`` is ``rep_word(c)`` followed by x, so
+    f(rep_word(d)) = f(rep_word(c)) f(x) and pi(d) is the walk of f(x)
+    from pi(c) through the table.  Every column of a closed table is a
+    permutation whose inverse is the column of the inverse letter, so
+    free cancellation does not change where a walk ends, and this is
+    exactly the element that evaluating the reduced image of
+    ``rep_word(d)`` gives.  Each element costs one letter image's walk.
     """
     if not quotient.exponent_certified:
         raise ValueError("quotient is not exponent-certified")
@@ -768,8 +807,16 @@ def induced_order(f: BasisMap, quotient: FiniteQuotient, max_k: int = 10_000) ->
         )
     if max_k < 1:
         raise ValueError("max_k must be positive")
+    table = quotient.table
+    rows = table._rows
+    images = [f.letter_image(x) for x in range(len(table.alphabet.letters))]
     n = quotient.order
-    pi = [quotient.eval_word(f.apply(quotient.rep_word(e))) for e in range(n)]
+    pi = [0] * n
+    for c, x in zip(*table.spanning_tree()):
+        e = pi[c]
+        for k in images[x]:
+            e = rows[e][k]
+        pi[rows[c][x]] = e
     if len(set(pi)) != n:
         raise ValueError("the induced map is not a permutation; not an automorphism")
     seen = [False] * n

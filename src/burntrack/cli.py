@@ -84,7 +84,6 @@ from .graphmap import (
     red_projection,
     yellow_loop_audit,
 )
-from .limits import GrowthCapExceeded, letter_cap
 from .matrices import (
     is_irreducible,
     is_primitive,
@@ -481,14 +480,9 @@ def _advance(obj, state, steps: int = 1):
     if isinstance(obj, StratifiedGraphMap):
         return f_sharp(obj, state, steps)
     if isinstance(obj, BasisMap):
-        cap = letter_cap()
-        cur = state
         for _ in range(steps):
-            bound = obj.applied_length_bound(cur)
-            if bound > cap:
-                raise GrowthCapExceeded(bound, cap)
-            cur = obj.apply(cur)
-        return cur
+            state = obj.apply(state)
+        return state
     return obj.iterate(state, steps)
 
 
@@ -716,10 +710,6 @@ def _reduced_input(alphabet, text: str) -> GroupWord:
     return got
 
 
-def _move_line(m) -> str:
-    return f"pos={m.run.start} period={m.run.period.compact()} m={m.run.exponent} -> len={len(m.result)}"
-
-
 def _cmd_moves(args):
     alphabet = _moves_alphabet(args.rank)
     try:
@@ -730,7 +720,7 @@ def _cmd_moves(args):
     word = _reduced_input(alphabet, args.word)
     if args.join is None:
         moves = find_elementary_moves(word, params)
-        lines = [_move_line(m) for m in moves] or ["no moves"]
+        lines = move_log(moves).splitlines() or ["no moves"]
         return (
             {"command": "moves", "word": word.compact(), "n": args.n,
              "xi": str(params.xi), "m_min": params.m_min,
@@ -746,14 +736,16 @@ def _cmd_moves(args):
     budget = SearchBudget(max_states=args.budget, max_depth=args.max_depth)
     result = common_descendant_search(word, other, params, budget)
     if isinstance(result, Joined):
+        left = move_log(result.left_moves).splitlines()
+        right = move_log(result.right_moves).splitlines()
         lines = [f"joined {_render_word(result.witness)}"]
-        lines += [f"left {_move_line(m)}" for m in result.left_moves]
-        lines += [f"right {_move_line(m)}" for m in result.right_moves]
+        lines += [f"left {line}" for line in left]
+        lines += [f"right {line}" for line in right]
         return (
             {"command": "moves", "result": "joined",
              "witness": result.witness.compact(),
-             "left": [_move_line(m) for m in result.left_moves],
-             "right": [_move_line(m) for m in result.right_moves],
+             "left": left,
+             "right": right,
              "explored": list(result.explored)},
             lines,
             EXIT_OK,

@@ -431,13 +431,16 @@ def _equal_blocks(
 
 
 def primitive_root(word: Word) -> tuple[Word, int]:
-    """Largest m with word = u^m, returning (u, m); u is primitive."""
+    """Largest m with word = u^m, returning (u, m); u is primitive.
+
+    The root keeps the input's class: a factor of a reduced word is reduced.
+    """
     n = len(word)
     if n == 0:
         raise ValueError("the empty word has no primitive root")
     p = _root_length(*_encode(word.indices))
     if p < n:
-        return word[:p], n // p
+        return type(word).from_indices(word.alphabet, word.indices[:p]), n // p
     return word, 1
 
 

@@ -80,6 +80,18 @@ class TestBasisMap:
         w = Word.parse(FREE2, "a b a^-1")
         assert e.apply(w) == reduce(w)
 
+    def test_apply_respects_letter_cap(self, monkeypatch):
+        # the cap is checked against the length before cancellation, so the
+        # image (here fully cancelled) is never built
+        f = BasisMap(FREE2, {"a": "a" + " b" * 40, "b": "b"})
+        w = Word.parse(FREE2, "a a^-1 " * 10)
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "500")
+        with pytest.raises(GrowthCapExceeded) as exc:
+            f.apply(w)
+        assert (exc.value.needed, exc.value.cap) == (820, 500)
+        assert f.apply(w, max_letters=820).is_trivial
+        assert f(Word.parse(FREE2, "b " * 500)).compact() == "b" * 500
+
     @given(st.lists(st.integers(0, 3), max_size=30), st.lists(st.integers(0, 3), max_size=30))
     @settings(max_examples=60)
     def test_homomorphism(self, s, t):

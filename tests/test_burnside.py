@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burntrack.automorphisms import BasisMap, polynomial_order_bound
+from burntrack.automorphisms import BasisMap, compose, polynomial_order_bound
 from burntrack.burnside import (
     CosetTable,
     ElementaryMove,
@@ -490,3 +490,71 @@ class TestInducedOrder:
         q = burnside_oracle(2, 3)
         with pytest.raises(ValueError, match="letters"):
             induced_order(BasisMap.identity(InverseAlphabet("xy")), q)
+
+
+def per_element_order(f, q, max_k):
+    """Order of f on q by definition: evaluate f on every element's word.
+
+    Returns None when the induced map is not a permutation.
+    """
+    pi = [q.eval_word(f.apply(q.rep_word(e))) for e in range(q.order)]
+    if sorted(pi) != list(range(q.order)):
+        return None
+    order = 1
+    seen = set()
+    for start in range(q.order):
+        cycle = 0
+        e = start
+        while e not in seen:
+            seen.add(e)
+            e = pi[e]
+            cycle += 1
+        if cycle:
+            order = math.lcm(order, cycle)
+    return ExceedsBound(max_k) if order > max_k else Order(order)
+
+
+def random_basis_map(rng, alphabet, invertible):
+    """A product of Nielsen moves, or a map with random short images."""
+    names = alphabet.positive_letters
+    r = len(names)
+    if not invertible:
+        return BasisMap(alphabet, {
+            x: Word.from_indices(alphabet, [rng.randrange(2 * r) for _ in range(rng.randint(0, 3))])
+            for x in names
+        })
+    f = BasisMap.identity(alphabet)
+    for _ in range(rng.randint(1, 5)):
+        i, j = rng.sample(range(r), 2)
+        images = {x: x for x in names}
+        y = names[i] + rng.choice(("", "^-1"))
+        images[names[j]] = rng.choice((
+            f"{names[j]} {y}", f"{y} {names[j]}", f"{names[j]}^-1", names[i],
+        ))
+        if images[names[j]] == names[i]:
+            images[names[i]] = names[j]
+        f = compose(BasisMap(alphabet, images), f)
+    return f
+
+
+class TestInducedOrderDifferential:
+    """The tree walk against the per-element definition, on every quotient."""
+
+    @pytest.mark.parametrize("rank,exponent,maps", [(2, 2, 40), (3, 2, 40), (2, 3, 40), (3, 3, 16)])
+    def test_matches_per_element_definition(self, rank, exponent, maps):
+        q = burnside_oracle(rank, exponent)
+        alphabet = q.alphabet
+        rng = random.Random(1000 * rank + exponent)
+        outcomes = set()
+        for k in range(maps):
+            f = random_basis_map(rng, alphabet, invertible=k % 4 != 3)
+            max_k = rng.choice((1, 2, 3, 10_000))
+            expected = per_element_order(f, q, max_k)
+            if expected is None:
+                with pytest.raises(ValueError, match="not a permutation"):
+                    induced_order(f, q, max_k=max_k)
+                outcomes.add("not a permutation")
+            else:
+                assert induced_order(f, q, max_k=max_k) == expected, f
+                outcomes.add(type(expected).__name__)
+        assert outcomes == {"Order", "ExceedsBound", "not a permutation"}

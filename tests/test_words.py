@@ -237,6 +237,15 @@ class TestPrimitiveRoot:
         with pytest.raises(ValueError):
             primitive_root(Word(AB, []))
 
+    def test_root_keeps_input_class(self):
+        # a factor of a reduced word is reduced, so a GroupWord's root is one
+        for text in ("a b a b", "a b", "a^-1 b a^-1 b a^-1 b"):
+            g = GroupWord.parse(FREE2, text)
+            u, _ = primitive_root(g)
+            assert type(u) is GroupWord
+            u, _ = primitive_root(Word.parse(FREE2, text))
+            assert type(u) is Word
+
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=48))
     def test_root_is_primitive_and_reassembles(self, seq):
         alph = Alphabet("abc")
