@@ -2,7 +2,8 @@
 
 A :class:`BasisMap` stores one freely reduced image per positive basis
 letter and acts on arbitrary words homomorphically (images of inverse
-letters are flips, cancellation is performed on the fly).  On top of that
+letters are flips; the letter images go through the one tightening stack
+of :mod:`burntrack.words`, which cancels on the fly).  On top of that
 sit the integer invariants: the abelianized matrix with its determinant
 (:func:`abelianization`), the exact exponential/polynomial dichotomy in
 rank two (:func:`growth_rank2`), a numerical growth-rate probe for any
@@ -20,7 +21,7 @@ from typing import Mapping
 
 from .limits import GrowthCapExceeded, letter_cap
 from .matrices import int_determinant
-from .words import GroupWord, InverseAlphabet, Word, reduce
+from .words import GroupWord, InverseAlphabet, Word, _image_length, _tighten, reduce
 
 __all__ = [
     "BasisMap",
@@ -96,29 +97,16 @@ class BasisMap:
         """
         if word.alphabet != self._alphabet:
             raise ValueError("word is over a different alphabet")
+        table = self._table
         cap = letter_cap(max_letters)
         if len(word) * self._longest > cap:
-            needed = self.applied_length_bound(word)
+            needed = _image_length(table, word.indices)
             if needed > cap:
                 raise GrowthCapExceeded(needed, cap)
-        table = self._table
-        out: list[int] = []
-        push = out.append
-        pop = out.pop
-        for i in word.indices:
-            for k in table[i]:
-                if out and out[-1] == k ^ 1:
-                    pop()
-                else:
-                    push(k)
+        out = _tighten([table[i] for i in word.indices])
         return GroupWord.from_indices(self._alphabet, out)
 
     __call__ = apply
-
-    def applied_length_bound(self, word: Word) -> int:
-        """Length of the image before cancellation; an upper bound after."""
-        table = self._table
-        return sum(len(table[i]) for i in word.indices)
 
     def is_identity(self) -> bool:
         return all(self._table[i] == (i,) for i in range(len(self._alphabet.letters)))
@@ -159,7 +147,7 @@ def _compose_capped(outer: BasisMap, inner: BasisMap, cap: int) -> BasisMap:
     total = 0
     for name in alph.positive_letters:
         src = inner.image(name)
-        total += outer.applied_length_bound(src)
+        total += _image_length(outer._table, src.indices)
         if total > cap:
             raise GrowthCapExceeded(total, cap)
         images[name] = outer.apply(src, max_letters=cap)
@@ -276,7 +264,7 @@ def growth_rate_estimate(
     current = [GroupWord(alph, [x]) for x in alph.positive_letters]
     lengths = [sum(len(w) for w in current)]
     for _ in range(depth):
-        bound = sum(f.applied_length_bound(w) for w in current)
+        bound = sum(_image_length(f._table, w.indices) for w in current)
         if bound > cap:
             raise GrowthCapExceeded(bound, cap)
         current = [f.apply(w, max_letters=cap) for w in current]

@@ -702,23 +702,21 @@ def _base_words(alphabet: InverseAlphabet, length: int) -> list[tuple[int, ...]]
 
 _ORACLE_CACHE: dict[tuple[int, int], FiniteQuotient] = {}
 
+# Limits of burnside_oracle: the largest quotient order it attempts, the
+# longest relator base word, and the coset limit of each enumeration.
+_ORDER_CAP = 10_000
+_MAX_BASE_LENGTH = 4
+_MAX_COSETS = 400_000
 
-def burnside_oracle(
-    rank: int,
-    exponent: int,
-    *,
-    cached: bool = True,
-    order_cap: int = 10_000,
-    max_base_length: int = 4,
-    max_cosets: int = 400_000,
-) -> FiniteQuotient:
+
+def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQuotient:
     """The universal exponent-n quotient of the rank-r free group, n in {2, 3}.
 
     Relators are n-th powers of all short cyclically reduced words; the
     base length grows until the enumeration closes and the exponent check
     passes for every element.  The returned quotient is always
-    exponent-certified.  Results are cached per (rank, exponent) unless
-    ``cached`` is false.
+    exponent-certified.  Quotients of order above 10 000 are refused.
+    Results are cached per (rank, exponent) unless ``cached`` is false.
     """
     if exponent not in (2, 3):
         raise ValueError("only exponents 2 and 3 are finite cases handled here")
@@ -728,9 +726,9 @@ def burnside_oracle(
         expected_cap = 2**rank
     else:
         expected_cap = 3 ** (rank + math.comb(rank, 2) + math.comb(rank, 3))
-    if expected_cap > order_cap:
+    if expected_cap > _ORDER_CAP:
         raise ValueError(
-            f"quotient would have order {expected_cap}, above the cap {order_cap}"
+            f"quotient would have order {expected_cap}, above the cap {_ORDER_CAP}"
         )
     key = (rank, exponent)
     if cached and key in _ORACLE_CACHE:
@@ -745,14 +743,14 @@ def burnside_oracle(
         for seq in _base_words(alphabet, 1)
     ]
     quotient: FiniteQuotient | None = None
-    for length in range(start, max_base_length + 1):
+    for length in range(start, _MAX_BASE_LENGTH + 1):
         if length > 1:
             relators.extend(
                 GroupWord.from_indices(alphabet, seq * exponent)
                 for seq in _base_words(alphabet, length)
             )
         try:
-            table = todd_coxeter(rank, relators, max_cosets=max_cosets)
+            table = todd_coxeter(rank, relators, max_cosets=_MAX_COSETS)
         except EnumerationIncomplete:
             continue
         candidate = FiniteQuotient(rank, exponent, table, base_length=length)
@@ -761,8 +759,8 @@ def burnside_oracle(
             break
     if quotient is None:
         raise RuntimeError(
-            f"no certified quotient with base words up to length {max_base_length}; "
-            f"raise max_base_length or max_cosets"
+            f"no certified quotient with base words up to length {_MAX_BASE_LENGTH} "
+            f"within {_MAX_COSETS} cosets"
         )
     if cached:
         _ORACLE_CACHE[key] = quotient

@@ -476,14 +476,12 @@ def _seed_for(obj, text: str):
     return _parse_word(obj.alphabet, text)
 
 
-def _advance(obj, state, steps: int = 1):
+def _advance(obj, state):
     if isinstance(obj, StratifiedGraphMap):
-        return f_sharp(obj, state, steps)
+        return f_sharp(obj, state)
     if isinstance(obj, BasisMap):
-        for _ in range(steps):
-            state = obj.apply(state)
-        return state
-    return obj.iterate(state, steps)
+        return obj.apply(state)
+    return obj.iterate(state, 1)
 
 
 def _cmd_classify(args):
@@ -657,9 +655,10 @@ def _cmd_red(args):
     if args.depth < 0:
         raise _CliError("--depth must be >= 0")
     path = _seed_for(obj, args.word)
-    rows = []
-    for p in range(args.depth + 1):
-        rows.append(red_projection(f_sharp(obj, path, p)).compact())
+    rows = [red_projection(path).compact()]
+    for _ in range(args.depth):
+        path = f_sharp(obj, path)
+        rows.append(red_projection(path).compact())
     lines = [f"{p} {w if w else '-'}" for p, w in enumerate(rows)]
     return (
         {"command": "red", "name": args.name, "word": args.word,

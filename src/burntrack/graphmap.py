@@ -38,7 +38,7 @@ from .matrices import (
     pf_eigenvalue_via_shift,
 )
 from .substitutions import Substitution
-from .words import InverseAlphabet, Word, flip
+from .words import InverseAlphabet, Word, _image_length, _tighten, flip
 
 __all__ = [
     "Graph",
@@ -299,15 +299,9 @@ class EdgePath:
             raise ValueError(
                 f"paths do not compose: {self.terminus!r} vs {other.origin!r}"
             )
-        out = list(self._word.indices)
-        for i in other.indices:
-            if out and out[-1] == i ^ 1:
-                out.pop()
-            else:
-                out.append(i)
         return EdgePath._make(
             self._graph,
-            Word.from_indices(self._graph.edge_alphabet, out),
+            Word.from_indices(self._graph.edge_alphabet, _tighten((self.indices, other.indices))),
             self._origin,
         )
 
@@ -487,18 +481,11 @@ class StratifiedGraphMap:
     def apply_raw(self, path: EdgePath) -> list[int]:
         """Letterwise image with tightening, as raw oriented indices."""
         table = self._table
-        out: list[int] = []
-        for i in path.indices:
-            for k in table[i]:
-                if out and out[-1] == k ^ 1:
-                    out.pop()
-                else:
-                    out.append(k)
-        return out
+        return _tighten([table[i] for i in path.indices])
 
     def image_length_bound(self, path: EdgePath) -> int:
-        table = self._table
-        return sum(len(table[i]) for i in path.indices)
+        """Length of the image before tightening; an upper bound after."""
+        return _image_length(self._table, path.indices)
 
     def turn_is_legal(self, e1: int, e2: int) -> bool:
         """Iterate the edge derivative until the pair degenerates or cycles."""

@@ -1,10 +1,14 @@
 """Global guard for operations that materialize very long words.
 
-Iterating a substitution or a graph map grows words geometrically, so every
-expanding operation in this package checks the requested size against a cap
-before allocating.  The default cap is ten million letters; it can be raised
-or lowered per call (``max_letters=``) or process-wide through the
-``BURNTRACK_MAX_LETTERS`` environment variable.
+Iterating a substitution or a graph map grows words geometrically, so the
+operations that iterate check the projected size against a cap before each
+expansion: ``Substitution.iterate``, ``orbit``, ``FixedPointStream``,
+``f_sharp``, ``BasisMap.apply``, ``BasisMap.power``, ``compose`` of basis
+maps and ``growth_rate_estimate``.  A single ``Substitution.apply`` or
+``StratifiedGraphMap.apply_raw`` is not checked; it grows its input by at
+most the longest letter image.  The default cap is ten million letters; it
+can be raised or lowered per call (``max_letters=``) or process-wide through
+the ``BURNTRACK_MAX_LETTERS`` environment variable.
 """
 
 from __future__ import annotations

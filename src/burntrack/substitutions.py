@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 
 from .limits import GrowthCapExceeded, letter_cap
 from .matrices import NonnegIntMatrix, int_determinant
-from .words import Alphabet, InverseAlphabet, Word, flip, max_power_index
+from .words import Alphabet, InverseAlphabet, Word, _image_length, flip, max_power_index
 
 __all__ = [
     "Substitution",
@@ -109,24 +109,20 @@ class Substitution:
 
     def applied_length(self, word: Word) -> int:
         """Length of apply(word), computed without building it."""
-        table = self._table
-        return sum(len(table[i]) for i in word.indices)
+        return _image_length(self._table, word.indices)
 
     def iterate(self, word: Word, power: int, max_letters: int | None = None) -> Word:
         """Apply the substitution ``power`` times.
 
-        Projected output length is checked against the letter cap before
-        each expansion; see :mod:`burntrack.limits`.
+        The last word of :func:`orbit`, so the projected output length is
+        checked against the letter cap before each expansion; see
+        :mod:`burntrack.limits`.
         """
         if power < 0:
             raise ValueError("power must be >= 0")
-        cap = letter_cap(max_letters)
         cur = word
-        for _ in range(power):
-            nxt = self.applied_length(cur)
-            if nxt > cap:
-                raise GrowthCapExceeded(nxt, cap)
-            cur = self.apply(cur)
+        for _, cur in orbit(self, word, power, max_letters):
+            pass
         return cur
 
     def transition_matrix(self) -> NonnegIntMatrix:

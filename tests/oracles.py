@@ -67,3 +67,19 @@ def maximal_runs_bruteforce(seq: Sequence, min_exponent: int = 2):
             if exponent >= min_exponent:
                 found.add((start, p, exponent, length % p))
     return sorted(found)
+
+
+def free_reduce_bruteforce(seq: Sequence[int]) -> list[int]:
+    """Delete the leftmost adjacent pair i, i^1 until none is left.
+
+    Letters are interleaved indices, so the inverse of letter i is i ^ 1.
+    Quadratic rescans from the left; no stack.
+    """
+    out = list(seq)
+    while True:
+        for k in range(len(out) - 1):
+            if out[k] == out[k + 1] ^ 1:
+                del out[k : k + 2]
+                break
+        else:
+            return out

@@ -407,6 +407,14 @@ class TestRed:
         _, out, _ = run(capsys, "-s", session_path, "red", "psi", "b", "--depth", "0")
         assert out == "0 -\n"
 
+    def test_letter_cap_error_prints_nothing(self, session_path, monkeypatch, capsys):
+        # psi^3(d) has 29 letters; the step to psi^4(d) needs 73
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "50")
+        code, out, err = run(capsys, "-s", session_path, "red", "psi", "d", "--depth", "8")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "needs at least 73 letters but the cap is 50" in err
+
 
 class TestAuditYellow:
     def test_psi_fails_with_loop_witness(self, session_path, capsys):
