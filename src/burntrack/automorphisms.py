@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from .limits import GrowthCapExceeded, letter_cap
+from .limits import check_letters, letter_cap
 from .matrices import int_determinant
 from .words import GroupWord, InverseAlphabet, Word, _image_length, _tighten, reduce
 
@@ -87,7 +87,7 @@ class BasisMap:
     def letter_image(self, i: int) -> tuple[int, ...]:
         return self._table[i]
 
-    def apply(self, word: Word, max_letters: int | None = None) -> GroupWord:
+    def apply(self, word: Word) -> GroupWord:
         """Image of a word, freely reduced (single fused pass).
 
         Raises :class:`GrowthCapExceeded` before building anything when the
@@ -98,11 +98,8 @@ class BasisMap:
         if word.alphabet != self._alphabet:
             raise ValueError("word is over a different alphabet")
         table = self._table
-        cap = letter_cap(max_letters)
-        if len(word) * self._longest > cap:
-            needed = _image_length(table, word.indices)
-            if needed > cap:
-                raise GrowthCapExceeded(needed, cap)
+        if len(word) * self._longest > letter_cap():
+            check_letters(_image_length(table, word.indices))
         out = _tighten([table[i] for i in word.indices])
         return GroupWord.from_indices(self._alphabet, out)
 
@@ -111,19 +108,18 @@ class BasisMap:
     def is_identity(self) -> bool:
         return all(self._table[i] == (i,) for i in range(len(self._alphabet.letters)))
 
-    def power(self, p: int, max_letters: int | None = None) -> "BasisMap":
+    def power(self, p: int) -> "BasisMap":
         """p-fold composition with itself, by repeated squaring."""
         if p < 0:
             raise ValueError("power must be >= 0; invert explicitly first")
-        cap = letter_cap(max_letters)
         result = BasisMap.identity(self._alphabet)
         base = self
         while p:
             if p & 1:
-                result = _compose_capped(result, base, cap)
+                result = compose(result, base)
             p >>= 1
             if p:
-                base = _compose_capped(base, base, cap)
+                base = compose(base, base)
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -141,24 +137,19 @@ class BasisMap:
         return f"BasisMap({parts})"
 
 
-def _compose_capped(outer: BasisMap, inner: BasisMap, cap: int) -> BasisMap:
+def compose(outer: BasisMap, inner: BasisMap) -> BasisMap:
+    """The map sending x to outer(inner(x))."""
+    if outer.alphabet != inner.alphabet:
+        raise ValueError("can only compose maps over the same alphabet")
     alph = outer.alphabet
     images = {}
     total = 0
     for name in alph.positive_letters:
         src = inner.image(name)
         total += _image_length(outer._table, src.indices)
-        if total > cap:
-            raise GrowthCapExceeded(total, cap)
-        images[name] = outer.apply(src, max_letters=cap)
+        check_letters(total)
+        images[name] = outer.apply(src)
     return BasisMap(alph, images)
-
-
-def compose(outer: BasisMap, inner: BasisMap, max_letters: int | None = None) -> BasisMap:
-    """The map sending x to outer(inner(x))."""
-    if outer.alphabet != inner.alphabet:
-        raise ValueError("can only compose maps over the same alphabet")
-    return _compose_capped(outer, inner, letter_cap(max_letters))
 
 
 def verify_automorphism(f: BasisMap, inverse: BasisMap) -> bool:
@@ -253,21 +244,16 @@ class GrowthEstimate:
     lengths: tuple[int, ...]
 
 
-def growth_rate_estimate(
-    f: BasisMap, depth: int = 12, max_letters: int | None = None
-) -> GrowthEstimate:
+def growth_rate_estimate(f: BasisMap, depth: int = 12) -> GrowthEstimate:
     """Iterate on the basis and report successive total-length growth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     alph = f.alphabet
-    cap = letter_cap(max_letters)
     current = [GroupWord(alph, [x]) for x in alph.positive_letters]
     lengths = [sum(len(w) for w in current)]
     for _ in range(depth):
-        bound = sum(_image_length(f._table, w.indices) for w in current)
-        if bound > cap:
-            raise GrowthCapExceeded(bound, cap)
-        current = [f.apply(w, max_letters=cap) for w in current]
+        check_letters(sum(_image_length(f._table, w.indices) for w in current))
+        current = [f.apply(w) for w in current]
         lengths.append(sum(len(w) for w in current))
     prev, last = lengths[-2], lengths[-1]
     estimate = last / prev if prev else 0.0

@@ -468,11 +468,7 @@ def _need_session(args) -> SessionFile:
 
 def _seed_for(obj, text: str):
     if isinstance(obj, StratifiedGraphMap):
-        word = _parse_word(obj.graph.edge_alphabet, text)
-        try:
-            return EdgePath(obj.graph, word)
-        except ValueError as err:
-            raise _CliError(str(err)) from None
+        return EdgePath(obj.graph, _parse_word(obj.graph.edge_alphabet, text))
     return _parse_word(obj.alphabet, text)
 
 
@@ -627,10 +623,7 @@ def _cmd_period(args):
     kind, obj = session.lookup(args.name)
     if kind != "subst":
         raise _CliError(f"{args.name!r} is a {kind}; period wants a subst")
-    try:
-        result = detect_shift_period(obj, args.letter, args.bound)
-    except ValueError as err:
-        raise _CliError(str(err)) from None
+    result = detect_shift_period(obj, args.letter, args.bound)
     if isinstance(result, Periodic):
         block = result.block.compact()
         return (
@@ -673,10 +666,7 @@ def _cmd_audit_yellow(args):
     kind, obj = session.lookup(args.name)
     if kind != "graphmap":
         raise _CliError(f"{args.name!r} is a {kind}; audit-yellow wants a graphmap")
-    try:
-        report = yellow_loop_audit(obj, args.edge, args.depth)
-    except ValueError as err:
-        raise _CliError(str(err)) from None
+    report = yellow_loop_audit(obj, args.edge, args.depth)
     lines = [
         f"piece power={p.power} path={_render_word(p.path.word)} loop={'yes' if p.is_loop else 'no'}"
         for p in report.pieces
@@ -711,11 +701,8 @@ def _reduced_input(alphabet, text: str) -> GroupWord:
 
 def _cmd_moves(args):
     alphabet = _moves_alphabet(args.rank)
-    try:
-        threshold = Fraction(args.threshold) if args.threshold is not None else None
-        params = MoveParams(args.n, Fraction(args.xi), threshold=threshold)
-    except (ValueError, ZeroDivisionError) as err:
-        raise _CliError(str(err)) from None
+    threshold = Fraction(args.threshold) if args.threshold is not None else None
+    params = MoveParams(args.n, Fraction(args.xi), threshold=threshold)
     word = _reduced_input(alphabet, args.word)
     if args.join is None:
         moves = find_elementary_moves(word, params)
@@ -770,11 +757,8 @@ def _cmd_burnside_order(args):
     kind, obj = session.lookup(args.name)
     if kind != "autom":
         raise _CliError(f"{args.name!r} is a {kind}; burnside-order wants an autom")
-    try:
-        quotient = burnside_oracle(args.rank, args.exp)
-        result = induced_order(obj, quotient, max_k=args.max_k)
-    except ValueError as err:
-        raise _CliError(str(err)) from None
+    quotient = burnside_oracle(args.rank, args.exp)
+    result = induced_order(obj, quotient, max_k=args.max_k)
     if isinstance(result, Order):
         return (
             {"command": "burnside-order", "name": args.name, "rank": args.rank,
@@ -851,10 +835,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, lines, code = _HANDLERS[args.command](args)
-    except (_CliError, SessionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (RuntimeError, OSError) as err:
+    except (_CliError, SessionError, RuntimeError, OSError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     if args.json:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .automorphisms import AbelianizationMatrix, Growth
-from .limits import GrowthCapExceeded, letter_cap
+from .limits import check_letters
 from .matrices import (
     NonnegIntMatrix,
     int_determinant,
@@ -540,9 +540,7 @@ class StratifiedGraphMap:
         return f"StratifiedGraphMap({parts})"
 
 
-def f_sharp(
-    f: StratifiedGraphMap, path: EdgePath, power: int = 1, max_letters: int | None = None
-) -> EdgePath:
+def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     """Image of a tight path under ``power`` applications, tightened each time.
 
     Tightening first does not change the next image's tightened form, so
@@ -553,13 +551,10 @@ def f_sharp(
         raise ValueError("power must be >= 0")
     if path.graph != f.graph:
         raise ValueError("path lives on a different graph")
-    cap = letter_cap(max_letters)
     g = f.graph
     cur = path
     for _ in range(power):
-        bound = f.image_length_bound(cur)
-        if bound > cap:
-            raise GrowthCapExceeded(bound, cap)
+        check_letters(f.image_length_bound(cur))
         out = f.apply_raw(cur)
         cur = EdgePath._make(
             g,
@@ -921,9 +916,7 @@ def induced_substitution(f: StratifiedGraphMap) -> Substitution:
     return Substitution(red, images)
 
 
-def red_commutation_check(
-    f: StratifiedGraphMap, path: EdgePath, power: int, max_letters: int | None = None
-) -> bool:
+def red_commutation_check(f: StratifiedGraphMap, path: EdgePath, power: int) -> bool:
     """Does projecting then substituting equal mapping then projecting?
 
     Compares the red projection of the p-fold tightened image against the
@@ -939,8 +932,8 @@ def red_commutation_check(
     if power < 0:
         raise ValueError("power must be >= 0")
     sigma = induced_substitution(f)
-    left = red_projection(f_sharp(f, path, power, max_letters), k)
-    right = sigma.iterate(red_projection(path, k), power, max_letters)
+    left = red_projection(f_sharp(f, path, power), k)
+    right = sigma.iterate(red_projection(path, k), power)
     return left == right
 
 
@@ -969,9 +962,7 @@ class AuditReport:
     pieces: tuple[YellowPiece, ...]
 
 
-def yellow_loop_audit(
-    f: StratifiedGraphMap, edge: str, depth: int, max_letters: int | None = None
-) -> AuditReport:
+def yellow_loop_audit(f: StratifiedGraphMap, edge: str, depth: int) -> AuditReport:
     """List every maximal yellow subpath of the iterated images of an edge."""
     top = _single_top_exponential(f)
     k = top.height
@@ -984,7 +975,7 @@ def yellow_loop_audit(
     path = f.edge_image(edge)
     for p in range(1, depth + 1):
         if p > 1:
-            path = f_sharp(f, path, max_letters=max_letters)
+            path = f_sharp(f, path)
         seq = path.indices
         n = 0
         while n < len(seq):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .limits import GrowthCapExceeded, letter_cap
+from .limits import check_letters
 from .matrices import NonnegIntMatrix, int_determinant
 from .words import Alphabet, InverseAlphabet, Word, _image_length, flip, max_power_index
 
@@ -111,7 +111,7 @@ class Substitution:
         """Length of apply(word), computed without building it."""
         return _image_length(self._table, word.indices)
 
-    def iterate(self, word: Word, power: int, max_letters: int | None = None) -> Word:
+    def iterate(self, word: Word, power: int) -> Word:
         """Apply the substitution ``power`` times.
 
         The last word of :func:`orbit`, so the projected output length is
@@ -121,7 +121,7 @@ class Substitution:
         if power < 0:
             raise ValueError("power must be >= 0")
         cur = word
-        for _, cur in orbit(self, word, power, max_letters):
+        for _, cur in orbit(self, word, power):
             pass
         return cur
 
@@ -185,11 +185,11 @@ class FixedPointStream:
     Requires a seed letter whose image starts with that letter and has
     length at least two; the stream is then seed, rest-of-image, image of
     that, and so on, and applying the substitution to any prefix gives a
-    longer prefix.  Iteration yields letter names and raises
-    :class:`GrowthCapExceeded` past the cap.
+    longer prefix.  Iteration yields letter names.  Each growth step reads
+    the letter cap afresh and raises :class:`GrowthCapExceeded` past it.
     """
 
-    def __init__(self, subst: Substitution, letter: str, max_letters: int | None = None):
+    def __init__(self, subst: Substitution, letter: str):
         alph = subst.alphabet
         seed = alph.parse_token(letter)
         img = subst.letter_image(seed)
@@ -199,7 +199,6 @@ class FixedPointStream:
                 f"image is {Word.from_indices(alph, img)!r}"
             )
         self._subst = subst
-        self._cap = letter_cap(max_letters)
         self._buf: list[int] = [seed]
         self._block: tuple[int, ...] = img[1:]
 
@@ -208,9 +207,7 @@ class FixedPointStream:
         return self._subst.alphabet
 
     def _grow(self) -> None:
-        need = len(self._buf) + len(self._block)
-        if need > self._cap:
-            raise GrowthCapExceeded(need, self._cap)
+        check_letters(len(self._buf) + len(self._block))
         self._buf.extend(self._block)
         table = self._subst._table
         nxt: list[int] = []
@@ -236,38 +233,29 @@ class FixedPointStream:
             k += 1
 
 
-def fixed_point_prefix(
-    subst: Substitution, letter: str, n: int, max_letters: int | None = None
-) -> Word:
+def fixed_point_prefix(subst: Substitution, letter: str, n: int) -> Word:
     """First n letters of the fixed point seeded at ``letter``."""
-    return FixedPointStream(subst, letter, max_letters).prefix(n)
+    return FixedPointStream(subst, letter).prefix(n)
 
 
-def orbit(
-    subst: Substitution, seed: Word, depth: int, max_letters: int | None = None
-) -> Iterator[tuple[int, Word]]:
+def orbit(subst: Substitution, seed: Word, depth: int) -> Iterator[tuple[int, Word]]:
     """Yield (p, subst^p(seed)) for p = 1 .. depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cap = letter_cap(max_letters)
     cur = seed
     for p in range(1, depth + 1):
-        nxt = subst.applied_length(cur)
-        if nxt > cap:
-            raise GrowthCapExceeded(nxt, cap)
+        check_letters(subst.applied_length(cur))
         cur = subst.apply(cur)
         yield p, cur
 
 
-def orbit_power_index(
-    subst: Substitution, seed: Word, depth: int, max_letters: int | None = None
-) -> list[tuple[int, int]]:
+def orbit_power_index(subst: Substitution, seed: Word, depth: int) -> list[tuple[int, int]]:
     """Largest repetition exponent in each word of the orbit.
 
     Returns [(p, index of subst^p(seed))] for p = 1 .. depth; the index of a
     word is the largest m with some u^m a factor.
     """
-    return [(p, max_power_index(w)) for p, w in orbit(subst, seed, depth, max_letters)]
+    return [(p, max_power_index(w)) for p, w in orbit(subst, seed, depth)]
 
 
 @dataclass(frozen=True)
@@ -290,9 +278,7 @@ class NoPeriodUpTo:
     bound: int
 
 
-def detect_shift_period(
-    subst: Substitution, letter: str, max_period: int, max_letters: int | None = None
-) -> Periodic | NoPeriodUpTo:
+def detect_shift_period(subst: Substitution, letter: str, max_period: int) -> Periodic | NoPeriodUpTo:
     """Decide whether the fixed point at ``letter`` is a repeated block.
 
     Tries every candidate block length L up to ``max_period``: the length-L
@@ -303,7 +289,7 @@ def detect_shift_period(
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    stream = FixedPointStream(subst, letter, max_letters)
+    stream = FixedPointStream(subst, letter)
     prefix = stream.prefix(max_period)
     for L in range(1, max_period + 1):
         u = prefix[:L]

@@ -89,7 +89,8 @@ class TestBasisMap:
         with pytest.raises(GrowthCapExceeded) as exc:
             f.apply(w)
         assert (exc.value.needed, exc.value.cap) == (820, 500)
-        assert f.apply(w, max_letters=820).is_trivial
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "820")
+        assert f.apply(w).is_trivial
         assert f(Word.parse(FREE2, "b " * 500)).compact() == "b" * 500
 
     @given(st.lists(st.integers(0, 3), max_size=30), st.lists(st.integers(0, 3), max_size=30))
@@ -122,9 +123,10 @@ class TestPowerCompose:
         g = compose(FIB, compose(FIB, FIB))
         assert FIB.power(3) == g
 
-    def test_power_cap(self):
+    def test_power_cap(self, monkeypatch):
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "10000")
         with pytest.raises(GrowthCapExceeded):
-            FIB.power(64, max_letters=10_000)
+            FIB.power(64)
         with pytest.raises(ValueError):
             FIB.power(-1)
 
@@ -219,11 +221,12 @@ class TestGrowth:
         assert 1.0 < est.estimate < 1.1
         assert growth_rate_estimate(BasisMap.identity(FREE2), depth=4).estimate == 1.0
 
-    def test_estimate_guards(self):
+    def test_estimate_guards(self, monkeypatch):
         with pytest.raises(ValueError):
             growth_rate_estimate(FIB, depth=0)
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "10000")
         with pytest.raises(GrowthCapExceeded):
-            growth_rate_estimate(FIB, depth=60, max_letters=10_000)
+            growth_rate_estimate(FIB, depth=60)
 
 
 class TestOrderBound:

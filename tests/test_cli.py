@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,10 +85,26 @@ def session_path(tmp_path_factory):
     return str(path)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, **env):
+    """Run the CLI in a fresh interpreter, so a traceback would show on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "burntrack.cli", *argv],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestSessionParse:
@@ -572,3 +591,34 @@ class TestTopLevel:
         _, out, err = run(capsys, "-s", session_path, "pf", "remark3")
         assert "lambda" in out
         assert "lambda" not in err
+
+
+class TestErrorExits:
+    """Bad input anywhere below the handlers is one error line, never a traceback."""
+
+    def assert_one_error_line(self, code, out, err, message):
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {message}"
+        ]
+
+    def test_bad_letter_cap_value(self):
+        result = run_process(
+            "-s", "demos/session.bt", "orbit", "fib", "a", BURNTRACK_MAX_LETTERS="abc"
+        )
+        self.assert_one_error_line(
+            *result, "BURNTRACK_MAX_LETTERS must be an integer, got 'abc'"
+        )
+
+    @pytest.mark.parametrize("flag", ["--budget", "--max-depth"])
+    def test_zero_search_budget(self, flag):
+        result = run_process("moves", "ab", "--n", "3", "--join", "ba", flag, "0")
+        self.assert_one_error_line(*result, "budget bounds must be positive")
+
+    def test_relator_not_cyclically_reduced(self, tmp_path):
+        rel = tmp_path / "rel.txt"
+        rel.write_text("a b A\n")
+        result = run_process("tc", "--rank", "2", "--relators", str(rel))
+        self.assert_one_error_line(*result, "relator 'abA' is not cyclically reduced")

@@ -1,6 +1,9 @@
-"""Every script under demos/ runs to completion in a fresh interpreter."""
+"""Every script under demos/ runs to completion in a fresh interpreter, and
+the README's library example runs as a doctest."""
 
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +43,12 @@ def test_burnside_demo_prints_whole_move_lines():
     for label in ("left:", "right:"):
         (line,) = [line for line in out if line.startswith(label)]
         assert line[len(label):].lstrip().startswith("pos=")
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library in five lines", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    failed, attempted = doctest.DocTestRunner().run(test)
+    assert attempted and not failed

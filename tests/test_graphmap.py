@@ -303,10 +303,11 @@ class TestFSharp:
         p = EdgePath(g, "d c")
         assert f_sharp(f, f_sharp(f, p, 2), 3) == f_sharp(f, p, 5)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         g, f = psi_rose()
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "1000")
         with pytest.raises(GrowthCapExceeded):
-            f_sharp(f, EdgePath(g, "d"), 30, max_letters=1000)
+            f_sharp(f, EdgePath(g, "d"), 30)
 
     def test_wrong_graph(self):
         g, f = psi_rose()

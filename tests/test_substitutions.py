@@ -90,9 +90,10 @@ class TestApplication:
         with pytest.raises(ValueError):
             FIB.iterate(Word(AB, "b"), -1)
 
-    def test_iterate_cap(self):
+    def test_iterate_cap(self, monkeypatch):
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "1000")
         with pytest.raises(GrowthCapExceeded) as exc:
-            FIB.iterate(Word(AB, "a"), 40, max_letters=1000)
+            FIB.iterate(Word(AB, "a"), 40)
         assert exc.value.needed > exc.value.cap == 1000
 
     def test_cap_from_environment(self, monkeypatch):
@@ -153,10 +154,11 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             FixedPointStream(Substitution(AB, {"a": "a", "b": "a b"}), "a")
 
-    def test_stream_cap(self):
+    def test_stream_cap(self, monkeypatch):
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "10")
         with pytest.raises(GrowthCapExceeded):
-            FixedPointStream(FIB, "a", max_letters=10).prefix(100)
-        it = iter(FixedPointStream(FIB, "a", max_letters=10))
+            FixedPointStream(FIB, "a").prefix(100)
+        it = iter(FixedPointStream(FIB, "a"))
         with pytest.raises(GrowthCapExceeded):
             for _ in range(100):
                 next(it)
@@ -251,9 +253,10 @@ class TestOrbit:
         for _, idx in orbit_power_index(FIB, Word(AB, "b"), 10):
             assert idx <= 3
 
-    def test_orbit_cap(self):
+    def test_orbit_cap(self, monkeypatch):
+        monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "500")
         with pytest.raises(GrowthCapExceeded):
-            list(orbit(FIB, Word(AB, "a"), 50, max_letters=500))
+            list(orbit(FIB, Word(AB, "a"), 50))
 
 
 class TestCompose:

@@ -6,7 +6,9 @@ compared here with ``free_reduce_bruteforce`` applied to the plain
 concatenation of the letter images.
 """
 
+import os
 import warnings
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,14 +92,17 @@ def test_basis_map_apply_matches_oracle(case):
     assert list(f.apply(w).indices) == free_reduce_bruteforce(raw)
     assert _image_length(table, w.indices) == len(raw)
     # the cap check inside apply reads the same length
-    assert f.apply(w, max_letters=max(len(raw), 1)) == f.apply(w)
+    uncapped = f.apply(w)
+    with mock.patch.dict(os.environ, {"BURNTRACK_MAX_LETTERS": str(max(len(raw), 1))}):
+        assert f.apply(w) == uncapped
     if len(raw) > 1:
-        try:
-            f.apply(w, max_letters=len(raw) - 1)
-        except GrowthCapExceeded as err:
-            assert err.needed == len(raw)
-        else:
-            raise AssertionError("apply did not check the letter cap")
+        with mock.patch.dict(os.environ, {"BURNTRACK_MAX_LETTERS": str(len(raw) - 1)}):
+            try:
+                f.apply(w)
+            except GrowthCapExceeded as err:
+                assert err.needed == len(raw)
+            else:
+                raise AssertionError("apply did not check the letter cap")
 
 
 @settings(max_examples=200, deadline=None)
