@@ -100,8 +100,7 @@ class BasisMap:
         table = self._table
         if len(word) * self._longest > letter_cap():
             check_letters(_image_length(table, word.indices))
-        out = _tighten([table[i] for i in word.indices])
-        return GroupWord.from_indices(self._alphabet, out)
+        return GroupWord._trusted(self._alphabet, _tighten([table[i] for i in word.indices]))
 
     __call__ = apply
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .automorphisms import BasisMap
-from .words import GroupWord, InverseAlphabet, PowerRun, Word, find_power_runs, flip, reduce
+from .words import GroupWord, InverseAlphabet, PowerRun, Word, _tighten, find_power_runs, flip
 
 __all__ = [
     "MoveParams",
@@ -134,6 +134,8 @@ class ElementaryMove:
 
 
 def _rewrite(word: GroupWord, run: PowerRun, n: int) -> GroupWord:
+    # The run holds at least two periods, so every power of the period (or
+    # of its flip) is reduced, like the prefix and suffix of the reduced word.
     seq = word.indices
     m = run.exponent
     new_exp = m - n
@@ -141,8 +143,8 @@ def _rewrite(word: GroupWord, run: PowerRun, n: int) -> GroupWord:
         middle = run.period.indices * new_exp
     else:
         middle = tuple(i ^ 1 for i in reversed(run.period.indices)) * (-new_exp)
-    return reduce(
-        Word.from_indices(word.alphabet, seq[: run.start] + middle + seq[run.end :])
+    return GroupWord._trusted(
+        word.alphabet, _tighten((seq[: run.start], middle, seq[run.end :]))
     )
 
 

@@ -60,6 +60,7 @@ from .automorphisms import (
     growth_rate_estimate,
 )
 from .burnside import (
+    EnumerationIncomplete,
     ExceedsBound,
     Joined,
     MoveParams,
@@ -791,7 +792,13 @@ def _cmd_tc(args):
         if len(reduced) != len(word):
             raise _CliError(f"{args.relators}:{lineno}: relator is not freely reduced")
         relators.append(reduced)
-    table = todd_coxeter(args.rank, relators, max_cosets=args.max_cosets)
+    try:
+        table = todd_coxeter(args.rank, relators, max_cosets=args.max_cosets)
+    except EnumerationIncomplete as err:
+        print(f"undecided: {err}", file=sys.stderr)
+        payload = {"command": "tc", "rank": args.rank, "result": "incomplete", "live": err.live,
+                   "cosets_allocated": err.allocated, "max_cosets": err.max_cosets}
+        return payload, [], EXIT_UNDECIDED
     lines = [f"order {table.size}"]
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

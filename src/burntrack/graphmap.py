@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .automorphisms import AbelianizationMatrix, Growth
-from .limits import check_letters
+from .limits import check_letters, letter_cap
 from .matrices import (
     NonnegIntMatrix,
     int_determinant,
@@ -77,7 +77,7 @@ class Graph:
     ladder of subgraphs.
     """
 
-    __slots__ = ("_vertices", "_vset", "_alphabet", "_origin", "_heights")
+    __slots__ = ("_vertices", "_vset", "_alphabet", "_origin", "_heights", "_red")
 
     def __init__(
         self,
@@ -111,6 +111,7 @@ class Graph:
         self._alphabet = InverseAlphabet(names)
         self._origin = tuple(origin)
         self._heights = tuple(heights)
+        self._red: dict[int, tuple[InverseAlphabet, tuple[int, ...]]] = {}
 
     @classmethod
     def rose(cls, edges: Iterable[str], heights: Mapping[str, int] | None = None) -> "Graph":
@@ -152,6 +153,18 @@ class Graph:
     def edges_of_height(self, k: int) -> tuple[str, ...]:
         names = self._alphabet.positive_letters
         return tuple(names[p] for p, h in enumerate(self._heights) if h == k)
+
+    def _red_table(self, k: int) -> tuple[InverseAlphabet, tuple[int, ...]]:
+        """Height-k alphabet, and each oriented index's letter in it (or -1); built once per k."""
+        got = self._red.get(k)
+        if got is None:
+            names = self.edges_of_height(k)
+            if not names:
+                raise ValueError(f"no edges of height {k}")
+            red = InverseAlphabet(names)
+            index = tuple(red.index(x) if x in red else -1 for x in self._alphabet.letters)
+            got = self._red.setdefault(k, (red, index))
+        return got
 
     def is_connected(self) -> bool:
         seen = {self._vertices[0]}
@@ -301,7 +314,7 @@ class EdgePath:
             )
         return EdgePath._make(
             self._graph,
-            Word.from_indices(self._graph.edge_alphabet, _tighten((self.indices, other.indices))),
+            Word._trusted(self._graph.edge_alphabet, _tighten((self.indices, other.indices))),
             self._origin,
         )
 
@@ -342,7 +355,7 @@ class StratifiedGraphMap:
     (only a necessary condition is checked, nothing is proved).
     """
 
-    __slots__ = ("_graph", "_vmap", "_table", "_df", "_legal_cache", "_strata_cache")
+    __slots__ = ("_graph", "_vmap", "_table", "_longest", "_df", "_legal_cache", "_strata_cache")
 
     def __init__(
         self,
@@ -396,6 +409,7 @@ class StratifiedGraphMap:
         self._graph = graph
         self._vmap = dict(vertex_map)
         self._table = tuple(table)
+        self._longest = max(map(len, table))
         self._df = tuple(img[0] for img in self._table)
         self._legal_cache: dict[tuple[int, int], bool] = {}
         self._strata_cache: tuple[StratumReport, ...] | None = None
@@ -545,7 +559,9 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
 
     Tightening first does not change the next image's tightened form, so
     iterating this single-step operation computes the fully reduced p-fold
-    image directly.
+    image directly.  Like :meth:`BasisMap.apply`, each step sums the exact
+    image length for the letter cap only when the longest edge image times
+    the path length could exceed the cap.
     """
     if power < 0:
         raise ValueError("power must be >= 0")
@@ -554,12 +570,10 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     g = f.graph
     cur = path
     for _ in range(power):
-        check_letters(f.image_length_bound(cur))
-        out = f.apply_raw(cur)
+        if len(cur) * f._longest > letter_cap():
+            check_letters(f.image_length_bound(cur))
         cur = EdgePath._make(
-            g,
-            Word.from_indices(g.edge_alphabet, out),
-            f.vertex_image(cur.origin),
+            g, Word._trusted(g.edge_alphabet, f.apply_raw(cur)), f.vertex_image(cur.origin)
         )
     return cur
 
@@ -856,32 +870,25 @@ def yellow_red_split(
 
 
 def red_alphabet(graph: Graph, k: int | None = None) -> InverseAlphabet:
-    """Inverse-closed alphabet of the height-k edge names."""
-    if k is None:
-        k = graph.max_height
-    names = graph.edges_of_height(k)
-    if not names:
-        raise ValueError(f"no edges of height {k}")
-    return InverseAlphabet(names)
+    """Inverse-closed alphabet of the height-k edge names.
+
+    Built once per graph and height and cached on the graph, so every call
+    (and every :func:`red_projection` at that height) returns the same object.
+    """
+    return graph._red_table(graph.max_height if k is None else k)[0]
 
 
 def red_projection(path: EdgePath, k: int | None = None) -> Word:
     """Letters of height k only, as a word over the red alphabet.
 
+    The letters are looked up in the graph's cached table for height k, and
+    the word's alphabet is the same object :func:`red_alphabet` returns.
     The result is generally not freely reduced: deleting yellow letters
     can bring an edge next to its own reverse.
     """
     g = path.graph
-    if k is None:
-        k = g.max_height
-    red = red_alphabet(g, k)
-    full = g.edge_alphabet
-    out = [
-        red.parse_token(full.token(i))
-        for i in path.indices
-        if g.height(i) == k
-    ]
-    return Word.from_indices(red, out)
+    red, index = g._red_table(g.max_height if k is None else k)
+    return Word._trusted(red, [j for j in map(index.__getitem__, path.indices) if j >= 0])
 
 
 def _single_top_exponential(f: StratifiedGraphMap) -> StratumReport:

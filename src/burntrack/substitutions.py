@@ -103,7 +103,7 @@ class Substitution:
         out: list[int] = []
         for i in word.indices:
             out.extend(table[i])
-        return Word.from_indices(self._alphabet, out)
+        return Word._trusted(self._alphabet, out)
 
     __call__ = apply
 

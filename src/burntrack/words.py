@@ -7,10 +7,18 @@ letters; a :class:`GroupWord` is additionally freely reduced.  All values
 here are immutable and every function is pure, so they are safe to share
 between threads.
 
-Free reduction is one stack, ``_tighten``, fed in pieces (one letter image
-each): ``reduce``, ``BasisMap.apply``, ``StratifiedGraphMap.apply_raw`` and
-edge-path products all run on it.  ``_image_length`` is the one sum of
-letter-image lengths before cancellation, which the letter-cap checks read.
+Free reduction is one stack, ``_tighten``, fed in pieces (letter images,
+path factors, the parts of a rewritten power): ``BasisMap.apply``,
+``StratifiedGraphMap.apply_raw``, edge-path products and the Burnside
+rewriting moves all run on it.  Every piece must be freely reduced, so
+letters cancel only where two pieces meet; ``reduce`` feeds one-letter
+pieces, which are reduced trivially.  ``_image_length`` is
+the one sum of letter-image lengths before cancellation, which the
+letter-cap checks read.
+
+``Word.from_indices`` checks its input; ``Word._trusted`` skips the checks
+for results valid by construction (tightened or substituted images, red
+projections and slices).
 
 Repetition search is exact.  ``find_power_runs`` reports each maximal
 periodic stretch once, keyed by its primitive period, and
@@ -227,15 +235,20 @@ class Word:
 
     @classmethod
     def from_indices(cls, alphabet: Alphabet, indices: Iterable[int]) -> "Word":
-        self = object.__new__(cls)
-        seq = tuple(indices)
+        self = cls._trusted(alphabet, indices)
         n = len(alphabet.letters)
-        for i in seq:
+        for i in self._seq:
             if not 0 <= i < n:
                 raise ValueError(f"letter index {i} out of range for {alphabet!r}")
-        self._alphabet = alphabet
-        self._seq = seq
         self._validate()
+        return self
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, indices: Iterable[int]) -> "Word":
+        # trusted constructor: caller guarantees indices in range (and reduced, for GroupWord)
+        self = object.__new__(cls)
+        self._alphabet = alphabet
+        self._seq = tuple(indices)
         return self
 
     @classmethod
@@ -265,7 +278,7 @@ class Word:
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return Word.from_indices(self._alphabet, self._seq[key])
+            return Word._trusted(self._alphabet, self._seq[key])
         return self._alphabet.token(self._seq[key])
 
     def __iter__(self) -> Iterator[str]:
@@ -345,18 +358,21 @@ class GroupWord(Word):
 
 
 def _tighten(pieces: Iterable[Sequence[int]]) -> list[int]:
-    """Concatenate index sequences, cancelling each letter against an inverse on top.
+    """Concatenate freely reduced index sequences and freely reduce the result.
 
-    Letter-table callers pass a list of images, one piece per letter: on
-    CPython 3.11 that feeds this loop faster than ``map`` or a generator.
+    Each piece must be freely reduced, so the stack stays reduced and a
+    piece can only cancel from its front against the top: pop while they
+    are inverse, then push the rest in one step.  Letter-table callers pass
+    a list of images, one piece per letter: on CPython 3.11 that feeds this
+    loop faster than ``map`` or a generator.
     """
     out: list[int] = []
     for piece in pieces:
-        for i in piece:
-            if out and out[-1] == i ^ 1:
-                out.pop()
-            else:
-                out.append(i)
+        k = 0
+        while out and k < len(piece) and out[-1] == piece[k] ^ 1:
+            out.pop()
+            k += 1
+        out.extend(piece[k:])
     return out
 
 
@@ -369,7 +385,7 @@ def reduce(word: Word) -> GroupWord:
     """Freely reduce, cancelling adjacent inverse pairs until none remain."""
     if not word.alphabet.has_inverses:
         raise ValueError("reduce needs a word over an InverseAlphabet")
-    return GroupWord.from_indices(word.alphabet, _tighten((word.indices,)))
+    return GroupWord._trusted(word.alphabet, _tighten(zip(word.indices)))
 
 
 def flip(word: Word) -> Word:

@@ -83,3 +83,19 @@ def free_reduce_bruteforce(seq: Sequence[int]) -> list[int]:
                 break
         else:
             return out
+
+
+def red_projection_bruteforce(heights: Sequence[int], seq: Sequence[int], k: int) -> list[int]:
+    """Keep the letters of height k, renumbered over the height-k edges alone.
+
+    ``heights[p]`` is the height of positive edge p, whose oriented letters
+    are 2p and 2p + 1.  The height-k edges keep their order, so edge p
+    becomes red edge number "how many height-k edges come before p".
+    """
+    out = []
+    for i in seq:
+        p = i // 2
+        if heights[p] == k:
+            before = len([q for q in range(p) if heights[q] == k])
+            out.append(2 * before + i % 2)
+    return out

@@ -566,10 +566,24 @@ class TestTc:
         assert code == EXIT_ERROR
         assert "rel.txt:1" in err
 
-    def test_budget_exhaustion_is_an_error(self, tmp_path, capsys):
+    def test_budget_exhaustion_is_undecided(self, tmp_path, capsys):
+        # an infinite group (Z3 * Z3) cannot close under any coset limit
         rel = self.relators(tmp_path, "aaa\nbbb\n")
-        code, _, err = run(capsys, "tc", "--rank", "2", "--relators", rel, "--max-cosets", "40")
-        assert code == EXIT_ERROR
+        code, out, err = run_process("tc", "--rank", "2", "--relators", rel, "--max-cosets", "40")
+        assert code == EXIT_UNDECIDED
+        assert out == ""
+        assert "limit of 40" in err and "Traceback" not in err
+
+    def test_incomplete_enumeration_json(self, tmp_path, capsys):
+        rel = self.relators(tmp_path, "a b a\n")  # b = a^-2: the group is Z
+        code, out, err = run(
+            capsys, "tc", "--rank", "2", "--relators", rel, "--max-cosets", "2000", "--json"
+        )
+        assert code == EXIT_UNDECIDED
+        got = json.loads(out)
+        assert got["result"] == "incomplete" and got["max_cosets"] == 2000
+        assert got["cosets_allocated"] == 2000 and "order" not in got
+        assert err.count("\n") == 1 and "limit of 2000" in err
 
     def test_json_mirror(self, tmp_path, capsys):
         rel = self.relators(tmp_path, "aaa\n")
