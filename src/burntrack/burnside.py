@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .automorphisms import BasisMap
 from .words import GroupWord, InverseAlphabet, PowerRun, Word, _tighten, find_power_runs, flip
@@ -422,10 +422,17 @@ class CosetTable:
         return f"CosetTable(size={self.size}, rank={self._alphabet.rank})"
 
 
+# todd_coxeter reports progress each time the allocated count passes a
+# multiple of this many cosets
+_PROGRESS_EVERY = 65_536
+
+
 def todd_coxeter(
     rank: int,
     relators: Sequence[GroupWord],
     max_cosets: int = 1_000_000,
+    *,
+    progress: Callable[[int, int], None] | None = None,
 ) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; the table size is the order.
 
@@ -433,6 +440,10 @@ def todd_coxeter(
     every relator with gaps filled by new definitions, then all remaining
     entries are filled.  Coincidences collapse through a union-find with a
     queue.  Everything is deterministic.
+
+    ``progress``, when given, is called as ``progress(allocated, live)``
+    from the loop over cosets, once each time the allocated count has
+    passed the next multiple of 65 536.  It does not change the result.
     """
     if rank < 1 or rank > len(_GENERATOR_NAMES):
         raise ValueError(f"rank must be between 1 and {len(_GENERATOR_NAMES)}")
@@ -542,8 +553,12 @@ def todd_coxeter(
             f = define(f, word[i])
             i += 1
 
+    next_report = _PROGRESS_EVERY
     alpha = 0
     while alpha < len(table):
+        if progress is not None and len(table) >= next_report:
+            progress(len(table), live)
+            next_report = (len(table) // _PROGRESS_EVERY + 1) * _PROGRESS_EVERY
         if rep(alpha) != alpha:
             alpha += 1
             continue
@@ -705,10 +720,17 @@ def _base_words(alphabet: InverseAlphabet, length: int) -> list[tuple[int, ...]]
 _ORACLE_CACHE: dict[tuple[int, int], FiniteQuotient] = {}
 
 # Limits of burnside_oracle: the largest quotient order it attempts, the
-# longest relator base word, and the coset limit of each enumeration.
+# longest relator base word, and the coset limits of its enumerations.
+# Every base length but the last is a trial that stops at
+# _TRIAL_COSETS_PER_ELEMENT times the expected order (never above
+# _MAX_COSETS): the enumerations that close need at most 2.25 times the
+# order (4 929 cosets for the 2 187 elements of B(3, 3)), so a trial that
+# outgrows the budget is one that would not close soon.  The last length
+# keeps the full _MAX_COSETS.
 _ORDER_CAP = 10_000
 _MAX_BASE_LENGTH = 4
 _MAX_COSETS = 400_000
+_TRIAL_COSETS_PER_ELEMENT = 20
 
 
 def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQuotient:
@@ -716,7 +738,10 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
 
     Relators are n-th powers of all short cyclically reduced words; the
     base length grows until the enumeration closes and the exponent check
-    passes for every element.  The returned quotient is always
+    passes for every element.  Each base length but the longest (4) may
+    allocate 20 cosets per element of the expected order, the longest
+    400 000; when no length certifies, the ``RuntimeError`` names both
+    limits.  The returned quotient is always
     exponent-certified.  Quotients of order above 10 000 are refused.
     Results are cached per (rank, exponent) unless ``cached`` is false.
     """
@@ -725,12 +750,12 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
     if rank < 1:
         raise ValueError("rank must be positive")
     if exponent == 2:
-        expected_cap = 2**rank
+        expected_order = 2**rank
     else:
-        expected_cap = 3 ** (rank + math.comb(rank, 2) + math.comb(rank, 3))
-    if expected_cap > _ORDER_CAP:
+        expected_order = 3 ** (rank + math.comb(rank, 2) + math.comb(rank, 3))
+    if expected_order > _ORDER_CAP:
         raise ValueError(
-            f"quotient would have order {expected_cap}, above the cap {_ORDER_CAP}"
+            f"quotient would have order {expected_order}, above the cap {_ORDER_CAP}"
         )
     key = (rank, exponent)
     if cached and key in _ORACLE_CACHE:
@@ -744,6 +769,7 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
         GroupWord.from_indices(alphabet, seq * exponent)
         for seq in _base_words(alphabet, 1)
     ]
+    trial_cosets = min(_MAX_COSETS, _TRIAL_COSETS_PER_ELEMENT * expected_order)
     quotient: FiniteQuotient | None = None
     for length in range(start, _MAX_BASE_LENGTH + 1):
         if length > 1:
@@ -751,8 +777,9 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
                 GroupWord.from_indices(alphabet, seq * exponent)
                 for seq in _base_words(alphabet, length)
             )
+        budget = _MAX_COSETS if length == _MAX_BASE_LENGTH else trial_cosets
         try:
-            table = todd_coxeter(rank, relators, max_cosets=_MAX_COSETS)
+            table = todd_coxeter(rank, relators, max_cosets=budget)
         except EnumerationIncomplete:
             continue
         candidate = FiniteQuotient(rank, exponent, table, base_length=length)
@@ -762,7 +789,8 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
     if quotient is None:
         raise RuntimeError(
             f"no certified quotient with base words up to length {_MAX_BASE_LENGTH} "
-            f"within {_MAX_COSETS} cosets"
+            f"within {trial_cosets} cosets for each shorter length "
+            f"and {_MAX_COSETS} for length {_MAX_BASE_LENGTH}"
         )
     if cached:
         _ORACLE_CACHE[key] = quotient

@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -456,6 +457,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--relators", required=True, metavar="FILE")
     p.add_argument("--max-cosets", type=int, default=1_000_000)
     p.add_argument("--csv", metavar="FILE", help="also write the coset table as CSV")
+    p.add_argument("--progress", action="store_true",
+                   help="report allocated and live cosets on stderr, at most once a second")
 
     add_parser("dump", help="re-emit the session file canonically")
     return parser
@@ -775,6 +778,24 @@ def _cmd_burnside_order(args):
     )
 
 
+def _progress_printer():
+    """A todd_coxeter progress callback writing at most one stderr line a second."""
+    start = time.monotonic()
+    last = start - 1.0  # the first call prints
+
+    def report(allocated: int, live: int) -> None:
+        nonlocal last
+        now = time.monotonic()
+        if now - last < 1.0:
+            return
+        last = now
+        rate = allocated / max(now - start, 1e-9)
+        print(f"progress: {allocated} cosets allocated, {live} live, {rate:.0f} cosets/s",
+              file=sys.stderr, flush=True)
+
+    return report
+
+
 def _cmd_tc(args):
     alphabet = _moves_alphabet(args.rank)
     relators = []
@@ -792,8 +813,9 @@ def _cmd_tc(args):
         if len(reduced) != len(word):
             raise _CliError(f"{args.relators}:{lineno}: relator is not freely reduced")
         relators.append(reduced)
+    progress = _progress_printer() if args.progress else None
     try:
-        table = todd_coxeter(args.rank, relators, max_cosets=args.max_cosets)
+        table = todd_coxeter(args.rank, relators, max_cosets=args.max_cosets, progress=progress)
     except EnumerationIncomplete as err:
         print(f"undecided: {err}", file=sys.stderr)
         payload = {"command": "tc", "rank": args.rank, "result": "incomplete", "live": err.live,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burntrack import burnside
 from burntrack.automorphisms import BasisMap, compose, polynomial_order_bound
 from burntrack.burnside import (
     CosetTable,
@@ -46,6 +48,32 @@ def order_formula(r, n):
     if n == 3:
         return 3 ** (r + math.comb(r, 2) + math.comb(r, 3))
     raise ValueError(n)
+
+
+# (rank, exponent) -> order, base length, cosets allocated and the first
+# 12 hex digits of the sha1 of the table's CSV, for every quotient the
+# oracle admits up to order 2 187; measured with the full coset limit on
+# every base length.  (12, 2) and (13, 2) are left out for their build time.
+FROZEN_QUOTIENTS = {
+    (1, 2): (2, 1, 2, "dd9b4b2b7b5c"),
+    (2, 2): (4, 2, 4, "66c8b7905992"),
+    (3, 2): (8, 2, 8, "656357f0a2b1"),
+    (4, 2): (16, 2, 16, "c1015c3175c9"),
+    (5, 2): (32, 2, 32, "cb4f322bc7a6"),
+    (6, 2): (64, 2, 64, "0aff1a9f96e4"),
+    (7, 2): (128, 2, 128, "856ff59dc3b4"),
+    (8, 2): (256, 2, 256, "2acbe7253083"),
+    (9, 2): (512, 2, 512, "f6020c36ae9c"),
+    (10, 2): (1024, 2, 1024, "8465ff8b2fd7"),
+    (11, 2): (2048, 2, 2048, "71bbdfa358c6"),
+    (1, 3): (3, 1, 3, "7ad18336c29c"),
+    (2, 3): (27, 2, 33, "ddbda38fc01e"),
+    (3, 3): (2187, 3, 4929, "72c2142e21bf"),
+}
+
+
+def table_digest(table):
+    return hashlib.sha1(table.to_csv().encode()).hexdigest()[:12]
 
 
 class TestMoveParams:
@@ -339,6 +367,35 @@ class TestToddCoxeter:
         reps = todd_coxeter(2, rels).rep_words()
         assert [r.compact() for r in reps] == ["", "a", "b", "ab"]
 
+    def test_progress_leaves_the_table_unchanged(self, monkeypatch):
+        monkeypatch.setattr(burnside, "_PROGRESS_EVERY", 256)
+        F3 = InverseAlphabet("abc")
+        # the relators on which burnside_oracle closes B(3, 3)
+        rels = [
+            GroupWord.from_indices(F3, seq * 3)
+            for length in (1, 2, 3)
+            for seq in burnside._base_words(F3, length)
+        ]
+        seen = []
+        t = todd_coxeter(3, rels, progress=lambda allocated, live: seen.append((allocated, live)))
+        plain = todd_coxeter(3, rels)
+        assert t.to_csv() == plain.to_csv()
+        assert t.cosets_allocated == plain.cosets_allocated
+        allocated = [a for a, _ in seen]
+        assert len(seen) > 5 and allocated == sorted(set(allocated))
+        # one call per multiple of the step passed, never more
+        assert [a // 256 for a in allocated] == sorted(set(a // 256 for a in allocated))
+        assert allocated[0] >= 256 and allocated[-1] <= t.cosets_allocated
+        assert all(0 < live <= a for a, live in seen)
+
+    def test_progress_every_65536_cosets(self):
+        seen = []
+        with pytest.raises(EnumerationIncomplete):
+            todd_coxeter(2, [gw("a a")], max_cosets=140_000,
+                         progress=lambda allocated, live: seen.append((allocated, live)))
+        assert [a // 65_536 for a, _ in seen] == [1, 2]
+        assert all(live == a for a, live in seen)  # a a never collapses a coset
+
 
 class TestOracle:
     @pytest.mark.parametrize("rank,exponent", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -346,6 +403,12 @@ class TestOracle:
         q = burnside_oracle(rank, exponent)
         assert q.order == order_formula(rank, exponent)
         assert q.exponent_certified
+
+    @pytest.mark.parametrize("rank,exponent", sorted(FROZEN_QUOTIENTS))
+    def test_frozen_tables(self, rank, exponent):
+        q = burnside_oracle(rank, exponent, cached=False)
+        got = (q.order, q.base_length, q.table.cosets_allocated, table_digest(q.table))
+        assert got == FROZEN_QUOTIENTS[rank, exponent]
 
     def test_certify_idempotent(self):
         q = burnside_oracle(2, 3)
@@ -409,6 +472,54 @@ class TestOracle:
             w = free2([rng.randrange(4) for _ in range(rng.randint(1, 12))])
             cube = reduce(w * w * w)
             assert q.eval_word(cube) == 0
+
+
+class TestOracleBudget:
+    def record(self, monkeypatch):
+        """Patch todd_coxeter to log (coset limit, cosets allocated) per call."""
+        calls = []
+        real = burnside.todd_coxeter
+
+        def logged(rank, relators, max_cosets=1_000_000, **kw):
+            try:
+                table = real(rank, relators, max_cosets, **kw)
+            except EnumerationIncomplete as err:
+                calls.append((max_cosets, err.allocated))
+                raise
+            calls.append((max_cosets, table.cosets_allocated))
+            return table
+
+        monkeypatch.setattr(burnside, "todd_coxeter", logged)
+        return calls
+
+    def test_trials_budgeted_by_order(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        burnside_oracle(3, 3, cached=False)
+        # 20 cosets per element of B(3, 3) for lengths 2 and 3; length 2
+        # never closes, so a full 400 000 there would make 404 929 in all
+        assert [limit for limit, _ in calls] == [43_740, 43_740]
+        assert sum(allocated for _, allocated in calls) <= 48_669
+
+    def test_last_length_keeps_the_full_limit(self, monkeypatch):
+        monkeypatch.setattr(burnside, "_MAX_BASE_LENGTH", 3)
+        calls = self.record(monkeypatch)
+        q = burnside_oracle(3, 3, cached=False)
+        assert [limit for limit, _ in calls] == [43_740, burnside._MAX_COSETS]
+        assert table_digest(q.table) == FROZEN_QUOTIENTS[3, 3][3]
+
+    @pytest.mark.parametrize("max_cosets", [3_000, 1_500])
+    def test_failure_names_both_limits(self, monkeypatch, max_cosets):
+        # B(3, 3) needs 4 929 cosets at length 3, so neither length closes
+        monkeypatch.setattr(burnside, "_MAX_BASE_LENGTH", 3)
+        monkeypatch.setattr(burnside, "_MAX_COSETS", max_cosets)
+        monkeypatch.setattr(burnside, "_TRIAL_COSETS_PER_ELEMENT", 1)
+        trial = min(max_cosets, order_formula(3, 3))
+        with pytest.raises(RuntimeError) as err:
+            burnside_oracle(3, 3, cached=False)
+        assert str(err.value) == (
+            f"no certified quotient with base words up to length 3 within {trial} "
+            f"cosets for each shorter length and {max_cosets} for length 3"
+        )
 
 
 class TestMoveSoundness:

@@ -15,6 +15,7 @@ from burntrack.cli import (
     EXIT_OK,
     EXIT_UNDECIDED,
     SessionError,
+    _progress_printer,
     dump_session,
     main,
     parse_session,
@@ -589,6 +590,30 @@ class TestTc:
         rel = self.relators(tmp_path, "aaa\n")
         _, out, _ = run(capsys, "tc", "--rank", "1", "--relators", rel, "--json")
         assert json.loads(out)["order"] == 3
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_progress_keeps_stdout(self, tmp_path, capsys, fmt):
+        rel = self.relators(tmp_path, "aaa\nbbb\nababab\naBaBaB\n")
+        argv = ["tc", "--rank", "2", "--relators", rel, *fmt]
+        assert run(capsys, *argv, "--progress")[:2] == run(capsys, *argv)[:2]
+
+    def test_progress_lines_on_a_long_run(self, tmp_path, capsys):
+        rel = self.relators(tmp_path, "aa\n")  # Z2 * Z: never closes
+        argv = ["tc", "--rank", "2", "--relators", rel, "--max-cosets", "140000", "--json"]
+        code, out, err = run(capsys, *argv, "--progress")
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == EXIT_UNDECIDED
+        progress = [line for line in err.splitlines() if line.startswith("progress:")]
+        # the first report comes at 65 536 cosets; the next one is rate-limited
+        assert 1 <= len(progress) <= 2
+        assert progress[0].startswith("progress: 65536 cosets allocated, 65536 live, ")
+        assert progress[0].endswith(" cosets/s")
+
+    def test_progress_at_most_once_a_second(self, capsys):
+        report = _progress_printer()
+        for k in range(1, 6):
+            report(k * 65_536, k)
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestTopLevel:
