@@ -720,17 +720,14 @@ def _base_words(alphabet: InverseAlphabet, length: int) -> list[tuple[int, ...]]
 _ORACLE_CACHE: dict[tuple[int, int], FiniteQuotient] = {}
 
 # Limits of burnside_oracle: the largest quotient order it attempts, the
-# longest relator base word, and the coset limits of its enumerations.
-# Every base length but the last is a trial that stops at
-# _TRIAL_COSETS_PER_ELEMENT times the expected order (never above
-# _MAX_COSETS): the enumerations that close need at most 2.25 times the
-# order (4 929 cosets for the 2 187 elements of B(3, 3)), so a trial that
-# outgrows the budget is one that would not close soon.  The last length
-# keeps the full _MAX_COSETS.
+# longest relator base word, and the cosets each enumeration may allocate
+# per element of the expected order.  The enumerations that close need at
+# most 2.25 times the order (4 929 cosets for the 2 187 elements of
+# B(3, 3)), so one that outgrows 20 times the order is given up for the
+# next base length.
 _ORDER_CAP = 10_000
 _MAX_BASE_LENGTH = 4
-_MAX_COSETS = 400_000
-_TRIAL_COSETS_PER_ELEMENT = 20
+_COSETS_PER_ELEMENT = 20
 
 
 def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQuotient:
@@ -738,10 +735,8 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
 
     Relators are n-th powers of all short cyclically reduced words; the
     base length grows until the enumeration closes and the exponent check
-    passes for every element.  Each base length but the longest (4) may
-    allocate 20 cosets per element of the expected order, the longest
-    400 000; when no length certifies, the ``RuntimeError`` names both
-    limits.  The returned quotient is always
+    passes for every element.  Each enumeration may allocate 20 cosets per
+    element of the expected order.  The returned quotient is always
     exponent-certified.  Quotients of order above 10 000 are refused.
     Results are cached per (rank, exponent) unless ``cached`` is false.
     """
@@ -769,7 +764,7 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
         GroupWord.from_indices(alphabet, seq * exponent)
         for seq in _base_words(alphabet, 1)
     ]
-    trial_cosets = min(_MAX_COSETS, _TRIAL_COSETS_PER_ELEMENT * expected_order)
+    max_cosets = _COSETS_PER_ELEMENT * expected_order
     quotient: FiniteQuotient | None = None
     for length in range(start, _MAX_BASE_LENGTH + 1):
         if length > 1:
@@ -777,9 +772,8 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
                 GroupWord.from_indices(alphabet, seq * exponent)
                 for seq in _base_words(alphabet, length)
             )
-        budget = _MAX_COSETS if length == _MAX_BASE_LENGTH else trial_cosets
         try:
-            table = todd_coxeter(rank, relators, max_cosets=budget)
+            table = todd_coxeter(rank, relators, max_cosets=max_cosets)
         except EnumerationIncomplete:
             continue
         candidate = FiniteQuotient(rank, exponent, table, base_length=length)
@@ -789,8 +783,7 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
     if quotient is None:
         raise RuntimeError(
             f"no certified quotient with base words up to length {_MAX_BASE_LENGTH} "
-            f"within {trial_cosets} cosets for each shorter length "
-            f"and {_MAX_COSETS} for length {_MAX_BASE_LENGTH}"
+            f"within {max_cosets} cosets"
         )
     if cached:
         _ORACLE_CACHE[key] = quotient

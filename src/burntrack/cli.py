@@ -457,8 +457,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--relators", required=True, metavar="FILE")
     p.add_argument("--max-cosets", type=int, default=1_000_000)
     p.add_argument("--csv", metavar="FILE", help="also write the coset table as CSV")
-    p.add_argument("--progress", action="store_true",
-                   help="report allocated and live cosets on stderr, at most once a second")
 
     add_parser("dump", help="re-emit the session file canonically")
     return parser
@@ -778,14 +776,14 @@ def _cmd_burnside_order(args):
     )
 
 
-def _progress_printer():
+def _progress_printer(clock=time.monotonic):
     """A todd_coxeter progress callback writing at most one stderr line a second."""
-    start = time.monotonic()
+    start = clock()
     last = start - 1.0  # the first call prints
 
     def report(allocated: int, live: int) -> None:
         nonlocal last
-        now = time.monotonic()
+        now = clock()
         if now - last < 1.0:
             return
         last = now
@@ -813,9 +811,9 @@ def _cmd_tc(args):
         if len(reduced) != len(word):
             raise _CliError(f"{args.relators}:{lineno}: relator is not freely reduced")
         relators.append(reduced)
-    progress = _progress_printer() if args.progress else None
     try:
-        table = todd_coxeter(args.rank, relators, max_cosets=args.max_cosets, progress=progress)
+        table = todd_coxeter(args.rank, relators, max_cosets=args.max_cosets,
+                             progress=_progress_printer())
     except EnumerationIncomplete as err:
         print(f"undecided: {err}", file=sys.stderr)
         payload = {"command": "tc", "rank": args.rank, "result": "incomplete", "live": err.live,

@@ -52,8 +52,8 @@ def order_formula(r, n):
 
 # (rank, exponent) -> order, base length, cosets allocated and the first
 # 12 hex digits of the sha1 of the table's CSV, for every quotient the
-# oracle admits up to order 2 187; measured with the full coset limit on
-# every base length.  (12, 2) and (13, 2) are left out for their build time.
+# oracle admits up to order 2 187; measured with a limit of 400 000 cosets
+# on every base length.  (12, 2) and (13, 2) are left out for their build time.
 FROZEN_QUOTIENTS = {
     (1, 2): (2, 1, 2, "dd9b4b2b7b5c"),
     (2, 2): (4, 2, 4, "66c8b7905992"),
@@ -496,29 +496,20 @@ class TestOracleBudget:
         calls = self.record(monkeypatch)
         burnside_oracle(3, 3, cached=False)
         # 20 cosets per element of B(3, 3) for lengths 2 and 3; length 2
-        # never closes, so a full 400 000 there would make 404 929 in all
+        # never closes, so a 400 000 limit there would make 404 929 in all
         assert [limit for limit, _ in calls] == [43_740, 43_740]
         assert sum(allocated for _, allocated in calls) <= 48_669
 
-    def test_last_length_keeps_the_full_limit(self, monkeypatch):
+    @pytest.mark.parametrize("per_element", [1, 2])
+    def test_failure_names_the_limit(self, monkeypatch, per_element):
+        # B(3, 3) needs 4 929 cosets at length 3, so no length closes
         monkeypatch.setattr(burnside, "_MAX_BASE_LENGTH", 3)
-        calls = self.record(monkeypatch)
-        q = burnside_oracle(3, 3, cached=False)
-        assert [limit for limit, _ in calls] == [43_740, burnside._MAX_COSETS]
-        assert table_digest(q.table) == FROZEN_QUOTIENTS[3, 3][3]
-
-    @pytest.mark.parametrize("max_cosets", [3_000, 1_500])
-    def test_failure_names_both_limits(self, monkeypatch, max_cosets):
-        # B(3, 3) needs 4 929 cosets at length 3, so neither length closes
-        monkeypatch.setattr(burnside, "_MAX_BASE_LENGTH", 3)
-        monkeypatch.setattr(burnside, "_MAX_COSETS", max_cosets)
-        monkeypatch.setattr(burnside, "_TRIAL_COSETS_PER_ELEMENT", 1)
-        trial = min(max_cosets, order_formula(3, 3))
+        monkeypatch.setattr(burnside, "_COSETS_PER_ELEMENT", per_element)
         with pytest.raises(RuntimeError) as err:
             burnside_oracle(3, 3, cached=False)
         assert str(err.value) == (
-            f"no certified quotient with base words up to length 3 within {trial} "
-            f"cosets for each shorter length and {max_cosets} for length 3"
+            "no certified quotient with base words up to length 3 within "
+            f"{per_element * order_formula(3, 3)} cosets"
         )
 
 
