@@ -8,8 +8,8 @@ for a common rewrite of two words under a budget.
 
 :func:`todd_coxeter` enumerates cosets of the trivial subgroup for a finite
 presentation (HLT strategy, deterministic), and :func:`burnside_oracle`
-uses it with n-th power relators of short words, growing the relator base
-until the enumeration closes and every element is certified to have
+uses it once, with the n-th powers of the words of length up to
+``min(rank, n)`` as relators, then certifies that every element has
 ``g^n = 1``.  That certificate pins the quotient exactly: a group of
 exponent n defined by relations that are themselves n-th powers is the
 universal exponent-n quotient, no order formula needed.
@@ -61,26 +61,21 @@ class MoveParams:
     A run u^m qualifies when m is an integer strictly greater than
     ``n/2 - xi``; the smallest such integer is cached as ``m_min``.  It is
     clamped to 2 because a bare letter is not a repetition and the run
-    detector has nothing to find below two periods.
-
-    ``threshold`` overrides ``n/2 - xi`` for experiments with weaker
-    thresholds (for example n/4 - xi/2); no rewriting guarantee is claimed
-    for overridden values.
+    detector has nothing to find below two periods.  Any weaker threshold
+    t <= n/2 is the slack ``xi = n/2 - t``.
     """
 
-    __slots__ = ("_n", "_xi", "_threshold", "_m_min")
+    __slots__ = ("_n", "_xi", "_m_min")
 
-    def __init__(self, n: int, xi: Fraction | int | str = 0, threshold: Fraction | None = None):
+    def __init__(self, n: int, xi: Fraction | int | str = 0):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"the exponent must be a positive integer, got {n!r}")
         xi = Fraction(xi)
         if xi < 0:
             raise ValueError(f"xi must be non-negative, got {xi}")
-        t = Fraction(n, 2) - xi if threshold is None else Fraction(threshold)
         self._n = n
         self._xi = xi
-        self._threshold = t
-        self._m_min = max(2, t.__floor__() + 1)
+        self._m_min = max(2, self.threshold.__floor__() + 1)
 
     @property
     def n(self) -> int:
@@ -92,7 +87,7 @@ class MoveParams:
 
     @property
     def threshold(self) -> Fraction:
-        return self._threshold
+        return Fraction(self._n, 2) - self._xi
 
     @property
     def m_min(self) -> int:
@@ -101,10 +96,10 @@ class MoveParams:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MoveParams):
             return NotImplemented
-        return (self._n, self._xi, self._threshold) == (other._n, other._xi, other._threshold)
+        return (self._n, self._xi) == (other._n, other._xi)
 
     def __hash__(self) -> int:
-        return hash((self._n, self._xi, self._threshold))
+        return hash((self._n, self._xi))
 
     def __repr__(self) -> str:
         return f"MoveParams(n={self._n}, xi={self._xi}, m_min={self._m_min})"
@@ -246,15 +241,14 @@ def common_descendant_search(
         {w1.indices: (None, None)},
         {w2.indices: (None, None)},
     ]
-    words = [{w1.indices: w1}, {w2.indices: w2}]
-    frontiers = [[w1.indices], [w2.indices]]
+    frontiers = [[w1], [w2]]
     depths = [0, 0]
 
-    def joined(key: tuple[int, ...]) -> Joined:
+    def joined(witness: GroupWord) -> Joined:
         paths: list[tuple[ElementaryMove, ...]] = []
         for visited in sides:
             moves = []
-            k = key
+            k = witness.indices
             while True:
                 parent, move = visited[k]
                 if parent is None:
@@ -263,14 +257,14 @@ def common_descendant_search(
                 k = parent
             paths.append(tuple(reversed(moves)))
         return Joined(
-            witness=words[0][key],
+            witness=witness,
             left_moves=paths[0],
             right_moves=paths[1],
             explored=(len(sides[0]), len(sides[1])),
         )
 
     if w1.indices in sides[1]:
-        return joined(w1.indices)
+        return joined(w1)
 
     exhausted = [False, False]
     while True:
@@ -280,18 +274,17 @@ def common_descendant_search(
                 exhausted[s] = exhausted[s] or not frontiers[s]
                 continue
             here, other = sides[s], sides[1 - s]
-            new_frontier: list[tuple[int, ...]] = []
-            for key in frontiers[s]:
-                for move in find_elementary_moves(words[s][key], params):
+            new_frontier: list[GroupWord] = []
+            for word in frontiers[s]:
+                for move in find_elementary_moves(word, params):
                     child = move.result
                     ck = child.indices
                     if ck in here:
                         continue
-                    here[ck] = (key, move)
-                    words[s][ck] = child
-                    new_frontier.append(ck)
+                    here[ck] = (word.indices, move)
+                    new_frontier.append(child)
                     if ck in other:
-                        return joined(ck)
+                        return joined(child)
                 if len(sides[0]) + len(sides[1]) > budget.max_states:
                     return Undecided(
                         explored=(len(sides[0]), len(sides[1])),
@@ -447,6 +440,8 @@ def todd_coxeter(
     """
     if rank < 1 or rank > len(_GENERATOR_NAMES):
         raise ValueError(f"rank must be between 1 and {len(_GENERATOR_NAMES)}")
+    if max_cosets < 1:
+        raise ValueError(f"the coset limit must be positive, got {max_cosets}")
     alphabet = InverseAlphabet(_GENERATOR_NAMES[:rank])
     rel_seqs: list[tuple[int, ...]] = []
     for w in relators:
@@ -719,26 +714,24 @@ def _base_words(alphabet: InverseAlphabet, length: int) -> list[tuple[int, ...]]
 
 _ORACLE_CACHE: dict[tuple[int, int], FiniteQuotient] = {}
 
-# Limits of burnside_oracle: the largest quotient order it attempts, the
-# longest relator base word, and the cosets each enumeration may allocate
-# per element of the expected order.  The enumerations that close need at
-# most 2.25 times the order (4 929 cosets for the 2 187 elements of
-# B(3, 3)), so one that outgrows 20 times the order is given up for the
-# next base length.
+# Limits of burnside_oracle: the largest quotient order it attempts, and
+# the cosets its enumeration may allocate per element of the expected
+# order.  The enumerations need at most 2.25 times the order (4 929 cosets
+# for the 2 187 elements of B(3, 3)).
 _ORDER_CAP = 10_000
-_MAX_BASE_LENGTH = 4
 _COSETS_PER_ELEMENT = 20
 
 
 def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQuotient:
     """The universal exponent-n quotient of the rank-r free group, n in {2, 3}.
 
-    Relators are n-th powers of all short cyclically reduced words; the
-    base length grows until the enumeration closes and the exponent check
-    passes for every element.  Each enumeration may allocate 20 cosets per
-    element of the expected order.  The returned quotient is always
-    exponent-certified.  Quotients of order above 10 000 are refused.
-    Results are cached per (rank, exponent) unless ``cached`` is false.
+    Relators are the n-th powers of the cyclically reduced base words of
+    length up to ``min(rank, n)``: for n = 2, a^2, b^2 and (ab)^2 force
+    ab = ba, and for n = 3 the exponent check, run on every build,
+    confirms the length.  The one enumeration may allocate 20 cosets per
+    element of the expected order, else :class:`EnumerationIncomplete`
+    propagates.  Quotients of order above 10 000 are refused.  Results are
+    cached per (rank, exponent) unless ``cached`` is false.
     """
     if exponent not in (2, 3):
         raise ValueError("only exponents 2 and 3 are finite cases handled here")
@@ -757,33 +750,18 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
         return _ORACLE_CACHE[key]
 
     alphabet = InverseAlphabet(_GENERATOR_NAMES[:rank])
-    # powers of single letters never close the table for rank >= 2 (the
-    # quotient is a free product of cyclic groups), so start at length 2
-    start = 1 if rank == 1 else 2
-    relators: list[GroupWord] = [
+    base_length = min(rank, exponent)
+    relators = [
         GroupWord.from_indices(alphabet, seq * exponent)
-        for seq in _base_words(alphabet, 1)
+        for length in range(1, base_length + 1)
+        for seq in _base_words(alphabet, length)
     ]
-    max_cosets = _COSETS_PER_ELEMENT * expected_order
-    quotient: FiniteQuotient | None = None
-    for length in range(start, _MAX_BASE_LENGTH + 1):
-        if length > 1:
-            relators.extend(
-                GroupWord.from_indices(alphabet, seq * exponent)
-                for seq in _base_words(alphabet, length)
-            )
-        try:
-            table = todd_coxeter(rank, relators, max_cosets=max_cosets)
-        except EnumerationIncomplete:
-            continue
-        candidate = FiniteQuotient(rank, exponent, table, base_length=length)
-        if candidate.certify_exponent():
-            quotient = candidate
-            break
-    if quotient is None:
+    table = todd_coxeter(rank, relators, max_cosets=_COSETS_PER_ELEMENT * expected_order)
+    quotient = FiniteQuotient(rank, exponent, table, base_length=base_length)
+    if not quotient.certify_exponent():
         raise RuntimeError(
-            f"no certified quotient with base words up to length {_MAX_BASE_LENGTH} "
-            f"within {max_cosets} cosets"
+            f"no exponent-{exponent} certificate for rank {rank} "
+            f"with base words up to length {base_length}"
         )
     if cached:
         _ORACLE_CACHE[key] = quotient

@@ -440,7 +440,6 @@ def _build_parser() -> _Parser:
     p.add_argument("word")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--xi", default="0")
-    p.add_argument("--threshold", help="override the multiplicity threshold (a fraction)")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--join", metavar="WORD2")
     p.add_argument("--budget", type=int, default=20_000)
@@ -703,8 +702,7 @@ def _reduced_input(alphabet, text: str) -> GroupWord:
 
 def _cmd_moves(args):
     alphabet = _moves_alphabet(args.rank)
-    threshold = Fraction(args.threshold) if args.threshold is not None else None
-    params = MoveParams(args.n, Fraction(args.xi), threshold=threshold)
+    params = MoveParams(args.n, Fraction(args.xi))
     word = _reduced_input(alphabet, args.word)
     if args.join is None:
         moves = find_elementary_moves(word, params)

@@ -37,7 +37,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Alphabet",
@@ -138,16 +138,13 @@ class InverseAlphabet(Alphabet):
     on indices is ``i ^ 1``.  Tokens for inverse letters may be written
     ``x^-1``, ``inv(x)``, or (for single lowercase names) uppercase ``X``;
     output always uses the ``x^-1`` form.
-
-    An optional ``colors`` mapping tags letters; tags are constant on each
-    pair ``{x, x^-1}`` and are keyed by the positive name.
     """
 
-    __slots__ = ("_positive", "_colors")
+    __slots__ = ("_positive",)
 
     has_inverses = True
 
-    def __init__(self, positive: Iterable[str], colors: Mapping[str, str] | None = None):
+    def __init__(self, positive: Iterable[str]):
         if isinstance(positive, str):
             positive = tuple(positive)
         pos = tuple(_check_letter_name(x) for x in positive)
@@ -166,13 +163,6 @@ class InverseAlphabet(Alphabet):
         self._letters = tuple(interleaved)
         self._index = index
         self._positive = pos
-        if colors is not None:
-            bad = set(colors) - set(pos)
-            if bad:
-                raise ValueError(f"colors must be keyed by positive letters, got {sorted(bad)!r}")
-            self._colors = dict(colors)
-        else:
-            self._colors = {}
 
     @property
     def positive_letters(self) -> tuple[str, ...]:
@@ -191,9 +181,6 @@ class InverseAlphabet(Alphabet):
     def positive_index(self, i: int) -> int:
         """Index of the positive representative of letter i among positives."""
         return i >> 1
-
-    def color(self, i: int) -> str | None:
-        return self._colors.get(self._positive[i >> 1])
 
     def parse_token(self, tok: str) -> int:
         got = self._index.get(tok)

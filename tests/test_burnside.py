@@ -52,8 +52,8 @@ def order_formula(r, n):
 
 # (rank, exponent) -> order, base length, cosets allocated and the first
 # 12 hex digits of the sha1 of the table's CSV, for every quotient the
-# oracle admits up to order 2 187; measured with a limit of 400 000 cosets
-# on every base length.  (12, 2) and (13, 2) are left out for their build time.
+# oracle admits up to order 2 187.  (12, 2) and (13, 2) are left out for
+# their build time.
 FROZEN_QUOTIENTS = {
     (1, 2): (2, 1, 2, "dd9b4b2b7b5c"),
     (2, 2): (4, 2, 4, "66c8b7905992"),
@@ -92,10 +92,11 @@ class TestMoveParams:
         assert MoveParams(4, 1).m_min == 2
 
     def test_override(self):
-        p = MoveParams(5, 0, threshold=Fraction(5, 4))
+        # a weaker threshold t is the slack xi = n/2 - t
+        p = MoveParams(5, Fraction(5, 4))
         assert p.threshold == Fraction(5, 4)
         assert p.m_min == 2
-        assert MoveParams(8, 0, threshold=Fraction(3)).m_min == 4
+        assert MoveParams(8, 1).m_min == 4
 
     def test_fraction_xi(self):
         p = MoveParams(5, "3/2")
@@ -111,6 +112,7 @@ class TestMoveParams:
     def test_equality(self):
         assert MoveParams(5, 1) == MoveParams(5, 1)
         assert MoveParams(5, 1) != MoveParams(5, 2)
+        assert MoveParams(5, 1) != MoveParams(4, 1)
         assert hash(MoveParams(3)) == hash(MoveParams(3))
 
 
@@ -342,6 +344,11 @@ class TestToddCoxeter:
             todd_coxeter(3, cubes, max_cosets=200)
         assert 0 < err.value.live < err.value.allocated == 200
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_limit_must_be_positive(self, limit):
+        with pytest.raises(ValueError, match=f"coset limit must be positive, got {limit}"):
+            todd_coxeter(1, [gw("a a")], max_cosets=limit)
+
     def test_relator_validation(self):
         with pytest.raises(TypeError, match="GroupWord"):
             todd_coxeter(2, [Word.parse(F2, "a a")])
@@ -492,24 +499,26 @@ class TestOracleBudget:
         monkeypatch.setattr(burnside, "todd_coxeter", logged)
         return calls
 
-    def test_trials_budgeted_by_order(self, monkeypatch):
+    def test_one_enumeration_budgeted_by_order(self, monkeypatch):
         calls = self.record(monkeypatch)
         burnside_oracle(3, 3, cached=False)
-        # 20 cosets per element of B(3, 3) for lengths 2 and 3; length 2
-        # never closes, so a 400 000 limit there would make 404 929 in all
-        assert [limit for limit, _ in calls] == [43_740, 43_740]
-        assert sum(allocated for _, allocated in calls) <= 48_669
+        # base length min(3, 3) = 3, 20 cosets per element of B(3, 3)
+        assert calls == [(43_740, 4_929)]
 
     @pytest.mark.parametrize("per_element", [1, 2])
     def test_failure_names_the_limit(self, monkeypatch, per_element):
-        # B(3, 3) needs 4 929 cosets at length 3, so no length closes
-        monkeypatch.setattr(burnside, "_MAX_BASE_LENGTH", 3)
+        # B(3, 3) needs 4 929 cosets, more than 1 or 2 per element
         monkeypatch.setattr(burnside, "_COSETS_PER_ELEMENT", per_element)
-        with pytest.raises(RuntimeError) as err:
+        limit = per_element * order_formula(3, 3)
+        with pytest.raises(EnumerationIncomplete, match=f"against a limit of {limit}$"):
             burnside_oracle(3, 3, cached=False)
+
+    def test_failed_certificate_names_the_base_length(self, monkeypatch):
+        monkeypatch.setattr(FiniteQuotient, "certify_exponent", lambda self: False)
+        with pytest.raises(RuntimeError) as err:
+            burnside_oracle(2, 3, cached=False)
         assert str(err.value) == (
-            "no certified quotient with base words up to length 3 within "
-            f"{per_element * order_formula(3, 3)} cosets"
+            "no exponent-3 certificate for rank 2 with base words up to length 2"
         )
 
 

@@ -467,8 +467,9 @@ class TestMoves:
         assert out == "no moves\n"
 
     def test_threshold_override(self, capsys):
-        # m_min drops from 3 to 2 with the lower threshold
-        code, out, _ = run(capsys, "moves", "aab", "--n", "5", "--threshold", "5/4")
+        # m_min drops from 3 to 2 with the lower threshold 5/2 - 5/4
+        code, out, _ = run(capsys, "moves", "aab", "--n", "5", "--xi", "5/4")
+        assert code == EXIT_OK
         assert out == "pos=0 period=a m=2 -> len=4\n"
 
     def test_fraction_xi(self, capsys):
@@ -574,6 +575,14 @@ class TestTc:
         assert code == EXIT_UNDECIDED
         assert out == ""
         assert "limit of 40" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_nonpositive_limit_is_an_error(self, tmp_path, capsys, limit):
+        rel = self.relators(tmp_path, "aaa\n")
+        code, out, err = run(capsys, "tc", "--rank", "1", "--relators", rel, "--max-cosets", limit)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error: the coset limit must be positive, got {limit}\n"
 
     def test_incomplete_enumeration_json(self, tmp_path, capsys):
         rel = self.relators(tmp_path, "a b a\n")  # b = a^-2: the group is Z

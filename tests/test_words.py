@@ -104,15 +104,6 @@ class TestAlphabets:
         with pytest.raises(ValueError):
             AB.parse_token("A")
 
-    def test_colors(self):
-        alph = InverseAlphabet("ab", colors={"a": "yellow", "b": "red"})
-        assert alph.color(0) == "yellow"
-        assert alph.color(1) == "yellow"  # same tag on the inverse
-        assert alph.color(2) == "red"
-        assert InverseAlphabet("ab").color(0) is None
-        with pytest.raises(ValueError):
-            InverseAlphabet("ab", colors={"c": "red"})
-
     def test_equality_separates_structures(self):
         assert Alphabet("ab") == Alphabet("ab")
         assert Alphabet("ab") != Alphabet("ba")
