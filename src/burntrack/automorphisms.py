@@ -6,9 +6,10 @@ letters are flips; the letter images go through the one tightening stack
 of :mod:`burntrack.words`, which cancels on the fly).  On top of that
 sit the integer invariants: the abelianized matrix with its determinant
 (:func:`abelianization`), the exact exponential/polynomial dichotomy in
-rank two (:func:`growth_rank2`), a numerical growth-rate probe for any
-rank (:func:`growth_rate_estimate`), and the bound on orders induced on
-finite exponent quotients by polynomially growing maps
+rank two (:func:`growth_rank2`), a sound certificate of polynomial growth
+for any rank (:func:`certifies_polynomial_growth`), a numerical growth-rate
+probe for any rank (:func:`growth_rate_estimate`), and the bound on orders
+induced on finite exponent quotients by polynomially growing maps
 (:func:`polynomial_order_bound`).
 """
 
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._records import frozen
 from .limits import check_letters, letter_cap
-from .matrices import int_determinant
+from .matrices import NonnegIntMatrix, has_permutation_blocks, int_determinant
 from .words import GroupWord, InverseAlphabet, Word, _image_length, _tighten, reduce
 
 __all__ = [
@@ -31,6 +32,8 @@ __all__ = [
     "abelianization",
     "Growth",
     "growth_rank2",
+    "letter_count_matrix",
+    "certifies_polynomial_growth",
     "GrowthEstimate",
     "growth_rate_estimate",
     "polynomial_order_bound",
@@ -167,7 +170,7 @@ def verify_automorphism(f: BasisMap, inverse: BasisMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class AbelianizationMatrix:
     """Signed letter counts of the images, with the exact determinant.
 
@@ -229,7 +232,34 @@ def growth_rank2(f: BasisMap) -> Growth:
     return Growth.EXPONENTIAL if abs(t) > 2 else Growth.POLYNOMIAL
 
 
-@dataclass(frozen=True)
+def letter_count_matrix(f: BasisMap) -> NonnegIntMatrix:
+    """Entry (i, j): occurrences of basis letter i, either way round, in the image of letter j."""
+    r = f.alphabet.rank
+    cols = []
+    for p in range(r):
+        counts = [0] * r
+        for i in f.letter_image(2 * p):
+            counts[i >> 1] += 1
+        cols.append(counts)
+    return NonnegIntMatrix(zip(*cols))
+
+
+def certifies_polynomial_growth(f: BasisMap) -> bool:
+    """Sound test for polynomial growth, in any rank.
+
+    Cancellation only removes letters, so the letter counts of the reduced
+    word f^p(x) are at most the column of M^p for x, where M is
+    :func:`letter_count_matrix`.  When every strongly connected block of M
+    is a permutation matrix or zero (:func:`has_permutation_blocks`), M has
+    spectral radius at most 1, the entries of M^p grow polynomially in p,
+    and so does every reduced image length.  False decides nothing:
+    cancellation can keep a map polynomial while its letter counts grow
+    exponentially.
+    """
+    return has_permutation_blocks(letter_count_matrix(f))
+
+
+@frozen
 class GrowthEstimate:
     """Last length ratio along iterated images of the whole basis.
 

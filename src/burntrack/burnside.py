@@ -25,10 +25,10 @@ image from its parent's image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from ._records import frozen
 from .automorphisms import BasisMap
 from .words import GroupWord, InverseAlphabet, PowerRun, Word, _tighten, find_power_runs, flip
 
@@ -105,7 +105,7 @@ class MoveParams:
         return f"MoveParams(n={self._n}, xi={self._xi}, m_min={self._m_min})"
 
 
-@dataclass(frozen=True)
+@frozen
 class ElementaryMove:
     """One rewrite of ``p u^m s`` to the reduced form of ``p u^(m-n) s``.
 
@@ -181,7 +181,7 @@ def move_log(moves: Iterable[ElementaryMove]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@frozen
 class SearchBudget:
     max_states: int = 20_000
     max_depth: int = 12
@@ -191,7 +191,7 @@ class SearchBudget:
             raise ValueError("budget bounds must be positive")
 
 
-@dataclass(frozen=True)
+@frozen
 class Joined:
     """Both words rewrite to ``witness``; the two move sequences are replayable.
 
@@ -205,7 +205,7 @@ class Joined:
     explored: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@frozen
 class Undecided:
     """No common descendant found within the budget.
 
@@ -768,12 +768,12 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
     return quotient
 
 
-@dataclass(frozen=True)
+@frozen
 class Order:
     value: int
 
 
-@dataclass(frozen=True)
+@frozen
 class ExceedsBound:
     bound: int
 

@@ -50,13 +50,13 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .automorphisms import (
     BasisMap,
     Growth,
     abelianization,
+    certifies_polynomial_growth,
     growth_rank2,
     growth_rate_estimate,
 )
@@ -117,15 +117,15 @@ class _CliError(Exception):
     pass
 
 
-@dataclass
 class SessionFile:
     """Named objects defined by one session file, in definition order."""
 
-    alphabets: dict[str, Alphabet] = field(default_factory=dict)
-    substitutions: dict[str, Substitution] = field(default_factory=dict)
-    basis_maps: dict[str, BasisMap] = field(default_factory=dict)
-    graph_maps: dict[str, StratifiedGraphMap] = field(default_factory=dict)
-    order: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.alphabets: dict[str, Alphabet] = {}
+        self.substitutions: dict[str, Substitution] = {}
+        self.basis_maps: dict[str, BasisMap] = {}
+        self.graph_maps: dict[str, StratifiedGraphMap] = {}
+        self.order: list[tuple[str, str]] = []
 
     def names(self) -> set[str]:
         return (
@@ -487,25 +487,22 @@ def _cmd_classify(args):
     if kind == "autom":
         det = abelianization(obj).det
         if obj.alphabet.rank == 2:
-            verdict = growth_rank2(obj)
-            method = "trace criterion"
-            payload = {}
+            verdict, method, payload = growth_rank2(obj), "trace criterion", {}
+            lines = [f"growth {verdict} ({method})"]
+        elif certifies_polynomial_growth(obj):
+            verdict, method, payload = Growth.POLYNOMIAL, "letter-count blocks", {}
+            lines = [f"growth {verdict}", f"method {method}"]
         else:
             est = growth_rate_estimate(obj)
             verdict = Growth.EXPONENTIAL if est.estimate > 1.01 else Growth.POLYNOMIAL
             method = "growth estimate"
             text, num = _fmt(est.estimate, ".6f")
             payload = {"estimate": num}
-        lines = [
-            f"abelianized determinant {det}",
-            f"growth {verdict} ({method})",
-        ]
-        if payload:
-            lines.insert(1, f"estimate {text}")
+            lines = [f"estimate {text}", f"growth {verdict} ({method})"]
         return (
             {"command": "classify", "name": args.name, "kind": kind, "determinant": det,
              "growth": str(verdict), "method": method, **payload},
-            lines,
+            [f"abelianized determinant {det}", *lines],
             EXIT_OK,
         )
     if kind == "graphmap":

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
+from ._records import frozen
 from .automorphisms import AbelianizationMatrix, Growth
 from .limits import check_letters, letter_cap
 from .matrices import (
@@ -38,7 +38,7 @@ from .matrices import (
     pf_eigenvalue_via_shift,
 )
 from .substitutions import Substitution
-from .words import InverseAlphabet, Word, _image_length, _tighten, flip
+from .words import InverseAlphabet, Word, _image_length, _join_images, _tighten, flip
 
 __all__ = [
     "Graph",
@@ -66,6 +66,15 @@ __all__ = [
     "yellow_loop_audit",
     "pf_length",
 ]
+
+
+class _RedTable(NamedTuple):
+    """One height's red alphabet and its index maps; see ``Graph._red_table``."""
+
+    red: InverseAlphabet
+    index: tuple[int, ...]
+    translate: bytes | None
+    delete: bytes | None
 
 
 class Graph:
@@ -111,7 +120,7 @@ class Graph:
         self._alphabet = InverseAlphabet(names)
         self._origin = tuple(origin)
         self._heights = tuple(heights)
-        self._red: dict[int, tuple[InverseAlphabet, tuple[int, ...]]] = {}
+        self._red: dict[int, _RedTable] = {}
 
     @classmethod
     def rose(cls, edges: Iterable[str], heights: Mapping[str, int] | None = None) -> "Graph":
@@ -154,8 +163,14 @@ class Graph:
         names = self._alphabet.positive_letters
         return tuple(names[p] for p, h in enumerate(self._heights) if h == k)
 
-    def _red_table(self, k: int) -> tuple[InverseAlphabet, tuple[int, ...]]:
-        """Height-k alphabet, and each oriented index's letter in it (or -1); built once per k."""
+    def _red_table(self, k: int) -> _RedTable:
+        """The height-k alphabet and the maps into it; built once per k.
+
+        ``index`` gives each oriented index its letter in the red alphabet,
+        or -1.  With at most 256 oriented letters, ``translate`` holds the
+        same map as a ``bytes.translate`` table and ``delete`` the bytes of
+        the indices it drops; with more, both are None.
+        """
         got = self._red.get(k)
         if got is None:
             names = self.edges_of_height(k)
@@ -163,7 +178,11 @@ class Graph:
                 raise ValueError(f"no edges of height {k}")
             red = InverseAlphabet(names)
             index = tuple(red.index(x) if x in red else -1 for x in self._alphabet.letters)
-            got = self._red.setdefault(k, (red, index))
+            translate = delete = None
+            if len(index) <= 256:
+                translate = bytes(max(j, 0) for j in index).ljust(256, b"\0")
+                delete = bytes(i for i, j in enumerate(index) if j < 0)
+            got = self._red.setdefault(k, _RedTable(red, index, translate, delete))
         return got
 
     def is_connected(self) -> bool:
@@ -180,6 +199,8 @@ class Graph:
         return len(seen) == len(self._vertices)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return (
@@ -355,7 +376,9 @@ class StratifiedGraphMap:
     (only a necessary condition is checked, nothing is proved).
     """
 
-    __slots__ = ("_graph", "_vmap", "_table", "_longest", "_df", "_legal_cache", "_strata_cache")
+    __slots__ = (
+        "_graph", "_vmap", "_table", "_codes", "_longest", "_df", "_legal_cache", "_strata_cache"
+    )
 
     def __init__(
         self,
@@ -409,6 +432,8 @@ class StratifiedGraphMap:
         self._graph = graph
         self._vmap = dict(vertex_map)
         self._table = tuple(table)
+        # byte images for _join_images, which needs every index below 256
+        self._codes = tuple(map(bytes, table)) if len(table) <= 256 else None
         self._longest = max(map(len, table))
         self._df = tuple(img[0] for img in self._table)
         self._legal_cache: dict[tuple[int, int], bool] = {}
@@ -494,8 +519,9 @@ class StratifiedGraphMap:
 
     def apply_raw(self, path: EdgePath) -> list[int]:
         """Letterwise image with tightening, as raw oriented indices."""
-        table = self._table
-        return _tighten([table[i] for i in path.indices])
+        if self._codes is None:
+            return _tighten([self._table[i] for i in path.indices])
+        return _join_images(self._codes, self._table, path.indices)
 
     def image_length_bound(self, path: EdgePath) -> int:
         """Length of the image before tightening; an upper bound after."""
@@ -588,7 +614,7 @@ class StratumKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@frozen
 class StratumReport:
     """Classification of one height layer.
 
@@ -704,13 +730,13 @@ def growth_classify(f: StratifiedGraphMap) -> Growth:
     return Growth.POLYNOMIAL
 
 
-@dataclass(frozen=True)
+@frozen
 class Turn:
     edges: tuple[str, str]
     legal: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class TurnTable:
     """Every nondegenerate turn of the graph, grouped by vertex."""
 
@@ -757,7 +783,7 @@ def path_is_k_legal(f: StratifiedGraphMap, path: EdgePath, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class RTTReport:
     """Outcome of the finite train-track checks, with witnesses.
 
@@ -875,20 +901,25 @@ def red_alphabet(graph: Graph, k: int | None = None) -> InverseAlphabet:
     Built once per graph and height and cached on the graph, so every call
     (and every :func:`red_projection` at that height) returns the same object.
     """
-    return graph._red_table(graph.max_height if k is None else k)[0]
+    return graph._red_table(graph.max_height if k is None else k).red
 
 
 def red_projection(path: EdgePath, k: int | None = None) -> Word:
     """Letters of height k only, as a word over the red alphabet.
 
-    The letters are looked up in the graph's cached table for height k, and
-    the word's alphabet is the same object :func:`red_alphabet` returns.
-    The result is generally not freely reduced: deleting yellow letters
-    can bring an edge next to its own reverse.
+    The letters are mapped through the graph's cached tables for height k:
+    on graphs with at most 256 oriented edges one ``bytes.translate`` call
+    renumbers the red letters and deletes the others, and larger graphs
+    look each letter up.  The word's alphabet is the same object
+    :func:`red_alphabet` returns.  The result is generally not freely
+    reduced: deleting yellow letters can bring an edge next to its own
+    reverse.
     """
     g = path.graph
-    red, index = g._red_table(g.max_height if k is None else k)
-    return Word._trusted(red, [j for j in map(index.__getitem__, path.indices) if j >= 0])
+    red, index, translate, delete = g._red_table(g.max_height if k is None else k)
+    if translate is None:
+        return Word._trusted(red, [j for j in map(index.__getitem__, path.indices) if j >= 0])
+    return Word._trusted(red, bytes(path.indices).translate(translate, delete))
 
 
 def _single_top_exponential(f: StratifiedGraphMap) -> StratumReport:
@@ -944,7 +975,7 @@ def red_commutation_check(f: StratifiedGraphMap, path: EdgePath, power: int) -> 
     return left == right
 
 
-@dataclass(frozen=True)
+@frozen
 class YellowPiece:
     """One maximal lower-height subpath of an iterated edge image."""
 
@@ -953,7 +984,7 @@ class YellowPiece:
     is_loop: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class AuditReport:
     """Loop census of the yellow pieces of f_#^p(edge) for p up to depth.
 

@@ -1,8 +1,8 @@
 """Nonnegative integer matrices: irreducibility, primitivity, Perron root.
 
 Entries are exact Python integers of arbitrary size.  Structure tests
-(irreducibility, primitivity, permutation detection) are exact decision
-procedures; only the Perron eigenvalue itself is numeric, computed by power
+(irreducibility, primitivity, permutation detection, permutation blocks)
+are exact decision procedures; only the Perron eigenvalue itself is numeric, computed by power
 iteration with an explicit residual.  The equality "dominant eigenvalue is
 exactly 1" is never decided in floating point: for an irreducible integer
 matrix it holds precisely when the matrix is a transitive permutation
@@ -13,8 +13,9 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._records import frozen
 
 __all__ = [
     "NonnegIntMatrix",
@@ -25,6 +26,7 @@ __all__ = [
     "pf_eigenvalue",
     "pf_eigenvalue_via_shift",
     "is_transitive_permutation",
+    "has_permutation_blocks",
     "int_determinant",
 ]
 
@@ -239,7 +241,30 @@ def is_transitive_permutation(matrix: NonnegIntMatrix) -> bool:
     return steps == n and k == 0
 
 
-@dataclass(frozen=True)
+def has_permutation_blocks(matrix: NonnegIntMatrix) -> bool:
+    """True when every strongly connected block is a permutation matrix or zero.
+
+    These are exactly the nonnegative integer matrices whose spectral
+    radius is at most 1, the ones whose powers grow at most polynomially:
+    an irreducible block with a row sum above 1 inside it has spectral
+    radius above 1.  The blocks come from the transitive closure of the
+    positive entries (Warshall's algorithm on row bitmasks), so index j is
+    in the block of i when each reaches the other by a path of length >= 1;
+    the test is that no row puts more than 1 into its own block.
+    """
+    n = matrix.size
+    reach = _bool_rows(matrix)
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    return all(
+        sum(x for j, x in enumerate(row) if reach[i] >> j & 1 and reach[j] >> i & 1) <= 1
+        for i, row in enumerate(matrix.rows)
+    )
+
+
+@frozen
 class PFResult:
     """Perron eigenvalue estimate with its residual certificate.
 

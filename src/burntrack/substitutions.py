@@ -17,9 +17,9 @@ whether a coherent direction can be chosen through every inverse pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from ._records import frozen
 from .limits import check_letters
 from .matrices import NonnegIntMatrix, int_determinant
 from .words import Alphabet, InverseAlphabet, Word, _image_length, flip, max_power_index
@@ -258,7 +258,7 @@ def orbit_power_index(subst: Substitution, seed: Word, depth: int) -> list[tuple
     return [(p, max_power_index(w)) for p, w in orbit(subst, seed, depth)]
 
 
-@dataclass(frozen=True)
+@frozen
 class Periodic:
     """The fixed point is block^infinity; block is primitive.
 
@@ -271,7 +271,7 @@ class Periodic:
     power: int
 
 
-@dataclass(frozen=True)
+@frozen
 class NoPeriodUpTo:
     """No repeating block of length <= bound generates the fixed point."""
 
@@ -323,7 +323,7 @@ def certify_aperiodic_by_eigenvalue(subst: Substitution) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class Orientable:
     """A coherent direction exists through every inverse pair.
 
@@ -338,7 +338,7 @@ class Orientable:
     induced: Substitution
 
 
-@dataclass(frozen=True)
+@frozen
 class NonOrientable:
     """No choice of directions closes up."""
 

@@ -99,3 +99,25 @@ def red_projection_bruteforce(heights: Sequence[int], seq: Sequence[int], k: int
             before = len([q for q in range(p) if heights[q] == k])
             out.append(2 * before + i % 2)
     return out
+
+
+def spectral_radius_above_one_bruteforce(rows: Sequence[Sequence[int]]) -> bool:
+    """Does a nonnegative integer matrix of size <= 3, entries <= 2, have spectral radius > 1?
+
+    Reads the entry sum of M^256, from eight exact squarings.  Radius at
+    most 1: every strongly connected block is a permutation or zero, so a
+    walk of length 256 is fixed by the at most two steps where it changes
+    block (257^2 places, 6 weighted choices each), and the sum stays below
+    9 * 257^2 * 6^2 < 10^9.  Radius r above 1: r is an algebraic integer
+    whose conjugates are eigenvalues too, so r^3 bounds a Mahler measure
+    above 1, which is at least 1.3247 in degree <= 3 (Smyth), and the sum
+    is at least r^256 >= 1.3247^(256/3) > 10^10.
+    """
+    n = len(rows)
+    assert n <= 3 and all(0 <= x <= 2 for row in rows for x in row)
+    power = [list(row) for row in rows]
+    for _ in range(8):
+        power = [[sum(power[i][k] * power[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    total = sum(map(sum, power))
+    assert total < 10**9 or total > 10**10
+    return total > 10**10

@@ -11,9 +11,11 @@ from burntrack.automorphisms import (
     BasisMap,
     Growth,
     abelianization,
+    certifies_polynomial_growth,
     compose,
     growth_rank2,
     growth_rate_estimate,
+    letter_count_matrix,
     polynomial_order_bound,
     verify_automorphism,
 )
@@ -227,6 +229,61 @@ class TestGrowth:
         monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "10000")
         with pytest.raises(GrowthCapExceeded):
             growth_rate_estimate(FIB, depth=60)
+
+
+FREE3 = InverseAlphabet("abc")
+# a -> a, b -> b a, c -> c b: unipotent and triangular, so it grows polynomially
+TRI = BasisMap(FREE3, {"a": "a", "b": "b a", "c": "c b"})
+NIELSEN2 = [FIB, FIB_INV, TWIST, SWAP, BasisMap(FREE2, {"a": "a^-1", "b": "b"}),
+            BasisMap(FREE2, {"a": "a", "b": "a^-1 b"})]
+
+
+class TestPolynomialCertificate:
+    def test_letter_counts_ignore_orientation(self):
+        f = BasisMap(FREE3, {"a": "a b^-1 a", "b": "c^-1", "c": "c b c"})
+        assert letter_count_matrix(f).rows == ((2, 0, 0), (1, 0, 1), (0, 1, 2))
+        assert letter_count_matrix(TRI).rows == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+
+    def test_examples(self):
+        assert certifies_polynomial_growth(TRI)
+        assert certifies_polynomial_growth(TWIST) and certifies_polynomial_growth(SWAP)
+        assert certifies_polynomial_growth(BasisMap.identity(FREE3))
+        # the Fibonacci block in a rank-3 map fails: this map is exponential
+        assert not certifies_polynomial_growth(BasisMap(FREE3, {"a": "a b", "b": "a", "c": "c"}))
+        assert not certifies_polynomial_growth(FIB) and not certifies_polynomial_growth(PSI)
+
+    def test_tri_meets_the_letter_count_bound(self):
+        # nothing cancels in TRI, so its lengths are the entry sums of M^p: 3 + 2p + p(p-1)/2
+        m = letter_count_matrix(TRI)
+        lengths = growth_rate_estimate(TRI, depth=12).lengths
+        assert list(lengths) == [sum(map(sum, (m ** p).rows)) for p in range(13)]
+        assert lengths[12] == 3 + 24 + 66
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([FREE2, FREE3]).flatmap(lambda alph: st.tuples(
+        st.just(alph),
+        st.lists(st.lists(st.integers(0, 2 * alph.rank - 1), min_size=1, max_size=3),
+                 min_size=alph.rank, max_size=alph.rank),
+    )))
+    def test_reduced_lengths_obey_letter_counts(self, case):
+        # the bound behind the certificate: |f^p(x)| <= column x of M^p, summed
+        alph, images = case
+        f = BasisMap(alph, {x: Word.from_indices(alph, img) for x, img in zip(alph.positive_letters, images)})
+        m = letter_count_matrix(f)
+        for q, x in enumerate(alph.positive_letters):
+            w = GroupWord(alph, [x])
+            for p in range(1, 5):
+                w = f.apply(w)
+                assert len(w) <= sum(row[q] for row in (m ** p).rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(range(len(NIELSEN2))), max_size=6))
+    def test_sound_against_rank2_dichotomy(self, picks):
+        f = BasisMap.identity(FREE2)
+        for k in picks:
+            f = compose(NIELSEN2[k], f)
+        if certifies_polynomial_growth(f):
+            assert growth_rank2(f) is Growth.POLYNOMIAL
 
 
 class TestOrderBound:

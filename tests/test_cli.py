@@ -379,6 +379,25 @@ class TestClassify:
         assert code == EXIT_OK
         assert "growth estimate" in out and "estimate " in out
 
+    def test_rank3_triangular_is_certified_polynomial(self, tmp_path, capsys):
+        # the estimate reads 1.16 here; the letter-count blocks are all 1x1 ones
+        p = tmp_path / "tri.bt"
+        p.write_text(
+            "alphabet F3 inverse a b c\n"
+            "autom tri over F3\n  a -> a\n  b -> b a\n  c -> c b\nend\n"
+        )
+        code, out, _ = run(capsys, "-s", str(p), "classify", "tri")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "abelianized determinant 1", "growth polynomial", "method letter-count blocks",
+        ]
+        code, out, _ = run(capsys, "-s", str(p), "classify", "tri", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "command": "classify", "name": "tri", "kind": "autom", "determinant": 1,
+            "growth": "polynomial", "method": "letter-count blocks",
+        }
+
     def test_json_mirror(self, session_path, capsys):
         _, out, _ = run(capsys, "-s", session_path, "classify", "psi", "--json")
         data = json.loads(out)

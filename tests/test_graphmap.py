@@ -117,6 +117,16 @@ class TestGraph:
         assert psi_rose()[0] != fib_rose()[0]
         assert hash(psi_rose()[0]) == hash(psi_rose()[0])
 
+    def test_distinct_equal_graphs_compare_by_value(self):
+        # __eq__ answers True for the same object at once; other objects are still compared
+        g, h = psi_rose()[0], psi_rose()[0]
+        assert g is not h and g == h and h == g and g == g
+        assert hash(g) == hash(h) == hash((("*",), g.edge_alphabet, (("*",) * 8), (1, 2, 3, 3)))
+        assert g != Graph.rose(["a", "b", "c", "d"], {"a": 1, "b": 2, "c": 3, "d": 2})
+        assert g != Graph(["*", "v"], [("a", "*", "*", 1), ("b", "*", "*", 2), ("c", "*", "*", 3),
+                                       ("d", "*", "*", 3)])
+        assert g.__eq__("psi") is NotImplemented and g != "psi"
+
 
 class TestEdgePath:
     def test_parse_and_render(self):

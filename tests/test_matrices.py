@@ -11,6 +11,7 @@ from burntrack.matrices import (
     NonnegIntMatrix,
     PFResult,
     PowerIterationError,
+    has_permutation_blocks,
     int_determinant,
     is_irreducible,
     is_primitive,
@@ -18,6 +19,8 @@ from burntrack.matrices import (
     pf_eigenvalue,
     pf_eigenvalue_via_shift,
 )
+
+from .oracles import spectral_radius_above_one_bruteforce
 
 FIB = NonnegIntMatrix([[1, 1], [1, 0]])
 SWAP = NonnegIntMatrix([[0, 1], [1, 0]])
@@ -92,6 +95,29 @@ class TestStructure:
         assert not is_transitive_permutation(NonnegIntMatrix.identity(2))
         assert not is_transitive_permutation(FIB)
         assert not is_transitive_permutation(NonnegIntMatrix([[0, 2], [1, 0]]))
+
+
+class TestPermutationBlocks:
+    def test_examples(self):
+        assert has_permutation_blocks(SWAP) and has_permutation_blocks(CYCLE3)
+        assert has_permutation_blocks(NonnegIntMatrix.zero(3))
+        # unipotent, triangular: every block is a 1 on the diagonal
+        assert has_permutation_blocks(NonnegIntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        # nilpotent with a weight 2 between blocks: still polynomial
+        assert has_permutation_blocks(NonnegIntMatrix([[0, 2], [0, 0]]))
+        assert not has_permutation_blocks(FIB)
+        assert not has_permutation_blocks(NonnegIntMatrix([[2]]))
+        # a 2-cycle with a chord is one block with a row sum of 2
+        assert not has_permutation_blocks(NonnegIntMatrix([[1, 1], [1, 0]]))
+        assert not has_permutation_blocks(NonnegIntMatrix([[1, 0, 0], [5, 0, 1], [0, 1, 1]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_matches_growth_of_powers(self, rows):
+        expected = not spectral_radius_above_one_bruteforce(rows)
+        assert has_permutation_blocks(NonnegIntMatrix(rows)) == expected
 
 
 class TestPerron:

@@ -8,6 +8,14 @@ skip validation, so each is also rebuilt through the validating
 constructors (``from_indices``, and ``EdgePath`` for paths), which must
 accept it unchanged.  Red projections are compared with
 ``red_projection_bruteforce``.
+
+Graph maps with at most 256 oriented edges join their images with
+``words._join_images`` and project to red with ``bytes.translate``; larger
+ones take the letter-by-letter code.  The maps below cover both: ``wide``
+has 260 oriented edges, and in ``swallow`` and ``wide`` whole edge images
+cancel where two pieces meet.  ``_join_images`` is also checked on its own:
+it must hand a sequence to ``_tighten`` exactly when two adjacent letters
+of the joined images cancel.
 """
 
 import os
@@ -18,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burntrack import words
 from burntrack.automorphisms import BasisMap
 from burntrack.burnside import _rewrite
 from burntrack.graphmap import (
@@ -36,6 +45,7 @@ from burntrack.words import (
     InverseAlphabet,
     Word,
     _image_length,
+    _join_images,
     find_power_runs,
     reduce,
 )
@@ -57,7 +67,23 @@ def _cover():
         )
 
 
-GRAPH_MAPS = {"psi": _psi(), "cover": _cover()}
+def _swallow():
+    # the image of b cancels whole against the end of a's, and c's then cancels into a's
+    g = Graph.rose(["a", "b", "c"], {"a": 2, "b": 1, "c": 1})
+    return StratifiedGraphMap(g, {"*": "*"}, {"a": "a b c", "b": "c^-1", "c": "b^-1 c"})
+
+
+def _wide():
+    # conjugation by e0 on a rose of 130 edges: indices reach 259, and at every
+    # junction e0^-1 e0 cancels, so the image of e0 itself cancels whole
+    names = [f"e{q}" for q in range(130)]
+    g = Graph.rose(names, {e: 1 if e == "e0" else 2 for e in names})
+    return StratifiedGraphMap(
+        g, {"*": "*"}, {e: "e0" if e == "e0" else f"e0 {e} e0^-1" for e in names}
+    )
+
+
+GRAPH_MAPS = {"psi": _psi(), "cover": _cover(), "swallow": _swallow(), "wide": _wide()}
 
 choices = st.lists(st.integers(0, 1000), max_size=25)
 
@@ -156,6 +182,39 @@ def test_apply_raw_matches_oracle(name, vertex, picks):
     raw = concat(table[i] for i in p.indices)
     assert f.apply_raw(p) == free_reduce_bruteforce(raw)
     assert f.image_length_bound(p) == _image_length(table, p.indices) == len(raw)
+
+
+def test_both_kernel_branches_are_covered():
+    assert len(GRAPH_MAPS["wide"].graph.edge_alphabet.letters) == 260
+    assert all(len(f.graph.edge_alphabet.letters) <= 256 for n, f in GRAPH_MAPS.items() if n != "wide")
+    for name, start, seq, image in [
+        ("swallow", "*", [0, 2, 4], [0, 4]),  # a b c -> a b c . c^-1 . b^-1 c = a c
+        ("wide", "*", [2, 0, 4], [0, 2, 0, 4, 1]),  # e1 e0 e2 -> e0 e1 e0 e2 e0^-1
+    ]:
+        f = GRAPH_MAPS[name]
+        assert f.apply_raw(path(f.graph, start, seq)) == image
+
+
+# letters 0 and 1 start joins whose first byte of the XOR is zero; 254 and
+# 255 are the last one-byte letters
+JOIN_LETTERS = st.sampled_from([0, 1, 2, 3, 254, 255])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(JOIN_LETTERS, max_size=4), min_size=1, max_size=6),
+    st.lists(st.integers(0, 5), max_size=12),
+)
+def test_join_images_tightens_exactly_where_letters_cancel(images, picks):
+    table = [tuple(free_reduce_bruteforce(img)) for img in images]
+    seq = [k % len(table) for k in picks]
+    raw = concat(table[i] for i in seq)
+    cancels = any(x == y ^ 1 for x, y in zip(raw, raw[1:]))
+    with mock.patch.object(words, "_tighten", wraps=words._tighten) as spy:
+        got = _join_images(tuple(map(bytes, table)), table, seq)
+    assert got == free_reduce_bruteforce(raw)
+    assert type(got) is list
+    assert spy.called == cancels
 
 
 @settings(max_examples=200, deadline=None)

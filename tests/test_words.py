@@ -110,6 +110,18 @@ class TestAlphabets:
         assert InverseAlphabet("ab") == InverseAlphabet("ab")
         assert Alphabet("ab") != InverseAlphabet("ab")
 
+    def test_distinct_equal_alphabets_compare_by_value(self):
+        # __eq__ answers True for the same object at once; other objects are still compared
+        for make, inverses, letters in [
+            (Alphabet, False, ("a", "b")), (InverseAlphabet, True, ("a", "a^-1", "b", "b^-1")),
+        ]:
+            x, y = make("ab"), make("ab")
+            assert x is not y and x == y and y == x and x == x
+            assert hash(x) == hash(y) == hash((inverses, letters))
+            assert x != make("ba") and x.__eq__("ab") is NotImplemented
+        assert Word(Alphabet("ab"), "ab") == Word(Alphabet("ab"), "ab")
+        assert Word(Alphabet("ab"), "ab") != Word(InverseAlphabet("ab"), "ab")
+
 
 class TestWords:
     def test_parse_and_str(self):
