@@ -61,6 +61,7 @@ from .automorphisms import (
     growth_rate_estimate,
 )
 from .burnside import (
+    _GENERATOR_NAMES,
     EnumerationIncomplete,
     ExceedsBound,
     Joined,
@@ -105,8 +106,6 @@ __all__ = ["main", "parse_session", "dump_session", "SessionFile", "SessionError
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
-
-_GENERATOR_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 class SessionError(Exception):
@@ -154,8 +153,24 @@ def _fail(path: str, lineno: int, message: str, line: str = "", token: str = "")
     return SessionError(f"{where}: {message}")
 
 
-def _strip(raw: str) -> str:
-    return raw.split("#", 1)[0].rstrip()
+def _numbered_lines(path: str):
+    """(line number, text) of each line that is not blank once its comment is cut."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+    except OSError as err:
+        raise SessionError(f"cannot read {path}: {err}") from None
+    stripped = ((n, raw.split("#", 1)[0].rstrip()) for n, raw in enumerate(raw_lines, start=1))
+    return ((n, text) for n, text in stripped if text)
+
+
+def _block_body(lines, path: str, lineno: int, line: str, head: str):
+    """The lines of the block opened at ``lineno``, up to its ``end``."""
+    for body_no, body in lines:
+        if body.split() == ["end"]:
+            return
+        yield body_no, body
+    raise _fail(path, lineno, f"unterminated {head} block (missing 'end')", line)
 
 
 def _parse_image_line(path, lineno, line, alphabet, warn_reduce):
@@ -181,26 +196,14 @@ def _parse_image_line(path, lineno, line, alphabet, warn_reduce):
 
 def parse_session(path: str) -> SessionFile:
     """Parse a session file; the first problem raises with its location."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as err:
-        raise SessionError(f"cannot read {path}: {err}") from None
-
+    lines = _numbered_lines(path)
     session = SessionFile()
 
     def check_fresh(name: str, lineno: int, line: str) -> None:
         if name in session.names():
             raise _fail(path, lineno, f"duplicate name {name!r}", line, name)
 
-    n = 0
-    total = len(raw_lines)
-    while n < total:
-        lineno = n + 1
-        line = _strip(raw_lines[n])
-        n += 1
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         tokens = line.split()
         head = tokens[0]
 
@@ -228,24 +231,13 @@ def parse_session(path: str) -> SessionFile:
             if head == "autom" and not alphabet.has_inverses:
                 raise _fail(path, lineno, "autom needs an inverse alphabet", line)
             images: dict[str, Word] = {}
-            closed = False
-            while n < total:
-                body_no = n + 1
-                body = _strip(raw_lines[n])
-                n += 1
-                if not body.strip():
-                    continue
-                if body.split() == ["end"]:
-                    closed = True
-                    break
+            for body_no, body in _block_body(lines, path, lineno, line, head):
                 key, word = _parse_image_line(
                     path, body_no, body, alphabet, warn_reduce=(head == "autom")
                 )
                 if key in images:
                     raise _fail(path, body_no, f"duplicate image for {key!r}", body, key)
                 images[key] = word
-            if not closed:
-                raise _fail(path, lineno, f"unterminated {head} block (missing 'end')", line)
             try:
                 if head == "subst":
                     session.substitutions[name] = Substitution(alphabet, images)
@@ -265,17 +257,8 @@ def parse_session(path: str) -> SessionFile:
             edges: list[tuple[str, str, str, int]] = []
             vmap: dict[str, str] = {}
             emap: dict[str, str] = {}
-            closed = False
-            while n < total:
-                body_no = n + 1
-                body = _strip(raw_lines[n])
-                n += 1
-                if not body.strip():
-                    continue
+            for body_no, body in _block_body(lines, path, lineno, line, head):
                 parts = body.split()
-                if parts == ["end"]:
-                    closed = True
-                    break
                 if parts[0] == "vertices:":
                     vertices.extend(parts[1:])
                 elif parts[0] == "edge":
@@ -298,8 +281,6 @@ def parse_session(path: str) -> SessionFile:
                     emap[parts[1]] = " ".join(parts[3:])
                 else:
                     raise _fail(path, body_no, f"unexpected directive {parts[0]!r} in graphmap block", body, parts[0])
-            if not closed:
-                raise _fail(path, lineno, "unterminated graphmap block (missing 'end')", line)
             try:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -467,6 +448,15 @@ def _need_session(args) -> SessionFile:
     return parse_session(args.session)
 
 
+def _lookup(args, kinds: tuple[str, ...], want: str):
+    """Kind and object of ``args.name``; an error unless the kind is one of ``kinds``."""
+    kind, obj = _need_session(args).lookup(args.name)
+    if kind not in kinds:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise _CliError(f"{args.name!r} is {article} {kind}; {args.command} wants {want}")
+    return kind, obj
+
+
 def _seed_for(obj, text: str):
     if isinstance(obj, StratifiedGraphMap):
         return EdgePath(obj.graph, _parse_word(obj.graph.edge_alphabet, text))
@@ -481,9 +471,19 @@ def _advance(obj, state):
     return obj.iterate(state, 1)
 
 
+def _iterates(args):
+    """The words f^p(seed) for p = 1 .. --depth, f the map ``args.name``."""
+    _, obj = _lookup(args, ("subst", "autom", "graphmap"), "a map")
+    if args.depth < 1:
+        raise _CliError("--depth must be positive")
+    state = _seed_for(obj, args.seed)
+    for _ in range(args.depth):
+        state = _advance(obj, state)
+        yield state.word if isinstance(state, EdgePath) else state
+
+
 def _cmd_classify(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
+    kind, obj = _lookup(args, ("autom", "graphmap"), "an autom or a graphmap")
     if kind == "autom":
         det = abelianization(obj).det
         if obj.alphabet.rank == 2:
@@ -505,46 +505,33 @@ def _cmd_classify(args):
             [f"abelianized determinant {det}", *lines],
             EXIT_OK,
         )
-    if kind == "graphmap":
-        reports = classify_strata(obj)
-        lines = []
-        strata_payload = []
-        for r in reports:
-            entry = {"height": r.height, "edges": list(r.edges), "kind": str(r.kind)}
-            line = f"stratum {r.height}: edges={','.join(r.edges)} kind={r.kind}"
-            if r.kind is StratumKind.EXPONENTIAL:
-                lam_text, lam = _fmt(r.eigenvalue, ".9f")
-                res_text, res = _fmt(r.residual, ".3e")
-                line += (
-                    f" lambda={lam_text} residual={res_text}"
-                    f" aperiodic={'yes' if r.aperiodic else 'no'}"
-                )
-                entry.update(eigenvalue=lam, residual=res, aperiodic=r.aperiodic)
-            lines.append(line)
-            strata_payload.append(entry)
-        verdict = growth_classify(obj)  # may raise RefinementNeeded -> error exit
-        lines.append(f"growth {verdict}")
-        return (
-            {"command": "classify", "name": args.name, "kind": kind,
-             "strata": strata_payload, "growth": str(verdict)},
-            lines,
-            EXIT_OK,
-        )
-    raise _CliError(f"{args.name!r} is a {kind}; classify wants an autom or a graphmap")
+    lines = []
+    strata_payload = []
+    for r in classify_strata(obj):
+        entry = {"height": r.height, "edges": list(r.edges), "kind": str(r.kind)}
+        line = f"stratum {r.height}: edges={','.join(r.edges)} kind={r.kind}"
+        if r.kind is StratumKind.EXPONENTIAL:
+            lam_text, lam = _fmt(r.eigenvalue, ".9f")
+            res_text, res = _fmt(r.residual, ".3e")
+            line += (
+                f" lambda={lam_text} residual={res_text}"
+                f" aperiodic={'yes' if r.aperiodic else 'no'}"
+            )
+            entry.update(eigenvalue=lam, residual=res, aperiodic=r.aperiodic)
+        lines.append(line)
+        strata_payload.append(entry)
+    verdict = growth_classify(obj)  # may raise RefinementNeeded -> error exit
+    lines.append(f"growth {verdict}")
+    return (
+        {"command": "classify", "name": args.name, "kind": kind,
+         "strata": strata_payload, "growth": str(verdict)},
+        lines,
+        EXIT_OK,
+    )
 
 
 def _cmd_orbit(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
-    if kind == "alphabet":
-        raise _CliError(f"{args.name!r} is an alphabet; orbit wants a map")
-    if args.depth < 1:
-        raise _CliError("--depth must be positive")
-    state = _seed_for(obj, args.seed)
-    words = []
-    for _ in range(args.depth):
-        state = _advance(obj, state)
-        words.append((state.word if isinstance(state, EdgePath) else state).compact())
+    words = [word.compact() for word in _iterates(args)]
     lines = [f"{p} {w if w else '-'}" for p, w in enumerate(words, start=1)]
     return (
         {"command": "orbit", "name": args.name, "seed": args.seed,
@@ -555,18 +542,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_power_index(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
-    if kind == "alphabet":
-        raise _CliError(f"{args.name!r} is an alphabet; power-index wants a map")
-    if args.depth < 1:
-        raise _CliError("--depth must be positive")
-    state = _seed_for(obj, args.seed)
-    rows = []
-    for p in range(1, args.depth + 1):
-        state = _advance(obj, state)
-        word = state.word if isinstance(state, EdgePath) else state
-        rows.append((p, max_power_index(word)))
+    rows = [(p, max_power_index(word)) for p, word in enumerate(_iterates(args), start=1)]
     lines = [f"{p} {k}" for p, k in rows]
     return (
         {"command": "power-index", "name": args.name, "seed": args.seed,
@@ -595,10 +571,7 @@ def _pf_data(obj):
 
 
 def _cmd_pf(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
-    if kind not in ("subst", "graphmap"):
-        raise _CliError(f"{args.name!r} is a {kind}; pf wants a subst or a graphmap")
+    _, obj = _lookup(args, ("subst", "graphmap"), "a subst or a graphmap")
     lam, vec, residual, names = _pf_data(obj)
     lam_text, lam_num = _fmt(lam, ".9f")
     res_text, res_num = _fmt(residual, ".3e")
@@ -617,10 +590,7 @@ def _cmd_pf(args):
 
 
 def _cmd_period(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
-    if kind != "subst":
-        raise _CliError(f"{args.name!r} is a {kind}; period wants a subst")
+    _, obj = _lookup(args, ("subst",), "a subst")
     result = detect_shift_period(obj, args.letter, args.bound)
     if isinstance(result, Periodic):
         block = result.block.compact()
@@ -639,10 +609,7 @@ def _cmd_period(args):
 
 
 def _cmd_red(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
-    if kind != "graphmap":
-        raise _CliError(f"{args.name!r} is a {kind}; red wants a graphmap")
+    _, obj = _lookup(args, ("graphmap",), "a graphmap")
     if args.depth < 0:
         raise _CliError("--depth must be >= 0")
     path = _seed_for(obj, args.word)
@@ -660,10 +627,7 @@ def _cmd_red(args):
 
 
 def _cmd_audit_yellow(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
-    if kind != "graphmap":
-        raise _CliError(f"{args.name!r} is a {kind}; audit-yellow wants a graphmap")
+    _, obj = _lookup(args, ("graphmap",), "a graphmap")
     report = yellow_loop_audit(obj, args.edge, args.depth)
     lines = [
         f"piece power={p.power} path={_render_word(p.path.word)} loop={'yes' if p.is_loop else 'no'}"
@@ -750,10 +714,7 @@ def _cmd_moves(args):
 
 
 def _cmd_burnside_order(args):
-    session = _need_session(args)
-    kind, obj = session.lookup(args.name)
-    if kind != "autom":
-        raise _CliError(f"{args.name!r} is a {kind}; burnside-order wants an autom")
+    _, obj = _lookup(args, ("autom",), "an autom")
     quotient = burnside_oracle(args.rank, args.exp)
     result = induced_order(obj, quotient, max_k=args.max_k)
     if isinstance(result, Order):
@@ -792,15 +753,7 @@ def _progress_printer(clock=time.monotonic):
 def _cmd_tc(args):
     alphabet = _moves_alphabet(args.rank)
     relators = []
-    try:
-        with open(args.relators, encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except OSError as err:
-        raise _CliError(f"cannot read {args.relators}: {err}") from None
-    for lineno, rawline in enumerate(raw, start=1):
-        text = _strip(rawline)
-        if not text.strip():
-            continue
+    for lineno, text in _numbered_lines(args.relators):
         word = _parse_word(alphabet, text)
         reduced = reduce(word)
         if len(reduced) != len(word):

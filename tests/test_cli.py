@@ -655,6 +655,17 @@ class TestTopLevel:
         code, _, err = run(capsys, "moves", "ab", "--n", "3", "--frob")
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "F2"], "'F2' is an alphabet; classify wants an autom or a graphmap"),
+        (["period", "fib", "a"], "'fib' is an autom; period wants a subst"),
+        (["burnside-order", "psi", "--rank", "2", "--exp", "3"],
+         "'psi' is a graphmap; burnside-order wants an autom"),
+    ])
+    def test_kind_mismatch_message(self, session_path, capsys, argv, message):
+        code, out, err = run(capsys, "-s", session_path, *argv)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.splitlines()[-1] == f"error: {message}"
+
     def test_results_on_stdout_only(self, session_path, capsys):
         _, out, err = run(capsys, "-s", session_path, "pf", "remark3")
         assert "lambda" in out
