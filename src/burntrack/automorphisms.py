@@ -21,7 +21,7 @@ from typing import Mapping
 
 from ._records import frozen
 from .limits import check_letters, letter_cap
-from .matrices import NonnegIntMatrix, has_permutation_blocks, int_determinant
+from .matrices import NonnegIntMatrix, _pair_count_matrix, has_permutation_blocks, int_determinant
 from .words import GroupWord, InverseAlphabet, Word, _image_length, _tighten, reduce
 
 __all__ = [
@@ -234,14 +234,7 @@ def growth_rank2(f: BasisMap) -> Growth:
 
 def letter_count_matrix(f: BasisMap) -> NonnegIntMatrix:
     """Entry (i, j): occurrences of basis letter i, either way round, in the image of letter j."""
-    r = f.alphabet.rank
-    cols = []
-    for p in range(r):
-        counts = [0] * r
-        for i in f.letter_image(2 * p):
-            counts[i >> 1] += 1
-        cols.append(counts)
-    return NonnegIntMatrix(zip(*cols))
+    return _pair_count_matrix(f._table, range(f.alphabet.rank))
 
 
 def certifies_polynomial_growth(f: BasisMap) -> bool:

@@ -61,14 +61,12 @@ from .automorphisms import (
     growth_rate_estimate,
 )
 from .burnside import (
-    _GENERATOR_NAMES,
     EnumerationIncomplete,
-    ExceedsBound,
     Joined,
     MoveParams,
     Order,
     SearchBudget,
-    Undecided,
+    _GENERATOR_NAMES,
     burnside_oracle,
     common_descendant_search,
     find_elementary_moves,
@@ -94,7 +92,6 @@ from .matrices import (
     pf_eigenvalue_via_shift,
 )
 from .substitutions import (
-    NoPeriodUpTo,
     Periodic,
     Substitution,
     detect_shift_period,

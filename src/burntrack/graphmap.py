@@ -30,6 +30,7 @@ from .automorphisms import AbelianizationMatrix, Growth
 from .limits import check_letters, letter_cap
 from .matrices import (
     NonnegIntMatrix,
+    _pair_count_matrix,
     int_determinant,
     is_irreducible,
     is_primitive,
@@ -559,20 +560,10 @@ class StratifiedGraphMap:
     def stratum_matrix(self, k: int) -> NonnegIntMatrix:
         """Counts of height-k edge pairs in the images of height-k edges."""
         g = self._graph
-        alph = g.edge_alphabet
         positions = [p for p in range(len(g.positive_edges)) if g.height(2 * p) == k]
         if not positions:
             raise ValueError(f"no edges of height {k}")
-        where = {p: n for n, p in enumerate(positions)}
-        cols = []
-        for p in positions:
-            counts = [0] * len(positions)
-            for j in self._table[2 * p]:
-                q = j >> 1
-                if q in where:
-                    counts[where[q]] += 1
-            cols.append(counts)
-        return NonnegIntMatrix(tuple(zip(*cols)))
+        return _pair_count_matrix(self._table, positions)
 
     def __repr__(self) -> str:
         g = self._graph

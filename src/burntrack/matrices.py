@@ -131,6 +131,27 @@ class NonnegIntMatrix:
         return f"NonnegIntMatrix({[list(r) for r in self._rows]!r})"
 
 
+def _pair_count_matrix(table: Sequence[Sequence[int]], pairs: Sequence[int]) -> NonnegIntMatrix:
+    """Entry (i, j): occurrences of pair ``pairs[i]``, either way round, in
+    the image of pair ``pairs[j]``.
+
+    ``table[x]`` is the image of letter x as letter indices; letters 2q and
+    2q + 1 are the two directions of pair q, and the table is equivariant
+    under that flip, so ``table[2 * p]`` stands for pair p.  Pairs not in
+    ``pairs`` are not counted.
+    """
+    where = {q: n for n, q in enumerate(pairs)}
+    cols = []
+    for p in pairs:
+        counts = [0] * len(pairs)
+        for i in table[2 * p]:
+            n = where.get(i >> 1)
+            if n is not None:
+                counts[n] += 1
+        cols.append(counts)
+    return NonnegIntMatrix(zip(*cols))
+
+
 def is_irreducible(matrix: NonnegIntMatrix) -> bool:
     """True when every index reaches every index by a path of length >= 1.
 

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 
 from ._records import frozen
 from .limits import check_letters
-from .matrices import NonnegIntMatrix, int_determinant
+from .matrices import NonnegIntMatrix, _pair_count_matrix, int_determinant
 from .words import Alphabet, InverseAlphabet, Word, _image_length, flip, max_power_index
 
 __all__ = [
@@ -135,21 +135,14 @@ class Substitution:
         """
         alph = self._alphabet
         if alph.has_inverses:
-            r = alph.rank
-            cols = []
-            for p in range(r):
-                counts = [0] * r
-                for i in self._table[2 * p]:
-                    counts[i >> 1] += 1
-                cols.append(counts)
-        else:
-            n = len(alph.letters)
-            cols = []
-            for j in range(n):
-                counts = [0] * n
-                for i in self._table[j]:
-                    counts[i] += 1
-                cols.append(counts)
+            return _pair_count_matrix(self._table, range(alph.rank))
+        n = len(alph.letters)
+        cols = []
+        for j in range(n):
+            counts = [0] * n
+            for i in self._table[j]:
+                counts[i] += 1
+            cols.append(counts)
         return NonnegIntMatrix(tuple(zip(*cols)))
 
     def max_image_length(self) -> int:

@@ -23,6 +23,8 @@ import os
 import sys
 from pathlib import Path
 
+from burntrack.cli import main, parse_session
+
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).resolve().parent / "cases.json"
 INPUTS = "tests/golden/inputs"
@@ -35,8 +37,6 @@ ENV = "BURNTRACK_MAX_LETTERS"
 
 def run_case(argv: list[str], cap: str | None) -> dict:
     """One run of ``cli.main`` from the repository root under the given cap."""
-    from burntrack.cli import main
-
     saved_env, saved_cwd = os.environ.get(ENV), os.getcwd()
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -57,13 +57,11 @@ def run_case(argv: list[str], cap: str | None) -> dict:
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def _object_cases(session: str, formats) -> list[list[str]]:
+def _object_cases(session: str, formats: tuple[tuple[str, ...], ...]) -> list[list[str]]:
     """Every object-taking subcommand on every name of a session file.
 
     A name of the wrong kind for a subcommand gives its kind-mismatch exit.
     """
-    from burntrack.cli import parse_session
-
     with contextlib.redirect_stderr(io.StringIO()):
         s = parse_session(str(ROOT / session))
     cases = []

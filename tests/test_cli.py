@@ -658,8 +658,6 @@ class TestTopLevel:
     @pytest.mark.parametrize("argv, message", [
         (["classify", "F2"], "'F2' is an alphabet; classify wants an autom or a graphmap"),
         (["period", "fib", "a"], "'fib' is an autom; period wants a subst"),
-        (["burnside-order", "psi", "--rank", "2", "--exp", "3"],
-         "'psi' is a graphmap; burnside-order wants an autom"),
     ])
     def test_kind_mismatch_message(self, session_path, capsys, argv, message):
         code, out, err = run(capsys, "-s", session_path, *argv)
