@@ -5,7 +5,10 @@
 position or keyword (a class attribute is a field's default), an optional
 ``__post_init__`` check, equality and hashing by class and field values, a
 ``Name(field=value, ...)`` repr, ``__match_args__``, and an
-``AttributeError`` on every assignment or deletion.  The methods are
+``AttributeError`` on every assignment or deletion.  ``Name._trusted``
+takes every field by position and skips the defaults and
+``__post_init__``, for callers that build values known to be valid, as
+``Word._trusted`` does for words.  The methods are
 closures, not generated source, so the package never imports
 ``dataclasses``, which loads ``inspect``, ``ast`` and ``dis`` and adds
 about 1 MB to every process that imports burntrack.
@@ -35,6 +38,11 @@ def frozen(cls: type) -> type:
         if post_init is not None:
             post_init(self)
 
+    def _trusted(*args):
+        self = object.__new__(cls)
+        self.__dict__.update(zip(names, args))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {cls.__name__}")
 
@@ -59,5 +67,7 @@ def frozen(cls: type) -> type:
     for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    _trusted.__qualname__ = f"{cls.__qualname__}._trusted"
+    cls._trusted = staticmethod(_trusted)
     cls.__match_args__ = names
     return cls

@@ -14,12 +14,15 @@ uses it once, with the n-th powers of the words of length up to
 exponent n defined by relations that are themselves n-th powers is the
 universal exponent-n quotient, no order formula needed.
 
-:func:`induced_order` computes the exact order of the permutation a basis
-map induces on a certified quotient.  It never applies the map to whole
-words: the table of the trivial subgroup is the group's right regular
-action, so the permutation is grown along the breadth-first spanning tree
-of the table, each new element costing one walk of a single letter's
-image from its parent's image.
+:func:`induced_order` computes the exact order of the permutation pi a
+basis map induces on a certified quotient without building pi.  It
+follows only the generators: from each generator g it steps g, pi(g),
+pi^2(g), ... until the walk comes back to g, after L_g steps.  A walk that
+meets any other element twice shows pi is not injective.  If every
+generator comes back, pi^L fixes every generator for L = lcm(L_g); pi is
+an endomorphism of the quotient, so pi^L is the identity, pi is a
+permutation, and its order is exactly L.  Each step walks the images of
+one element's representative letters, read off the table's spanning tree.
 """
 
 from __future__ import annotations
@@ -323,7 +326,7 @@ class CosetTable:
     Rows are cosets (0 is the subgroup itself), columns are oriented
     letters in alphabet order.  The table is standardized: cosets are
     numbered in breadth-first order from 0, so equal presentations yield
-    identical tables.
+    identical tables.  Rows given as tuples are kept as they are.
     """
 
     __slots__ = ("_alphabet", "_rows", "_allocated", "_tree")
@@ -335,7 +338,7 @@ class CosetTable:
             if len(row) != w or any(not 0 <= c < n for c in row):
                 raise ValueError("malformed coset table")
         self._alphabet = alphabet
-        self._rows = tuple(tuple(row) for row in rows)
+        self._rows = tuple(map(tuple, rows))
         self._allocated = allocated
         self._tree: tuple[list[int], list[int]] | None = None
 
@@ -364,21 +367,19 @@ class CosetTable:
         return c
 
     def spanning_tree(self) -> tuple[list[int], list[int]]:
-        """Breadth-first spanning tree from coset 0, as two flat int lists.
+        """Breadth-first spanning tree from coset 0, as two per-coset int lists.
 
-        Entry k is the k-th tree edge in discovery order: ``parents[k]`` is
-        a coset and ``letters[k]`` a letter, and the edge leads to
-        ``step(parents[k], letters[k])``.  Every parent was reached by an
-        earlier edge (or is 0), so one pass in this order can extend any
-        per-coset quantity along the tree.  Computed once per table.
+        For every coset d but 0, the tree edge into d leaves ``parents[d]``
+        by letter ``letters[d]``, so ``step(parents[d], letters[d]) == d``;
+        entry 0 is (0, -1).  Following the parents from d back to 0 reads
+        d's representative letters backwards.  Computed once per table.
         """
         if self._tree is None:
             rows = self._rows
             width = len(self._alphabet.letters)
-            seen = [False] * len(rows)
-            seen[0] = True
-            parents: list[int] = []
-            letters: list[int] = []
+            parents = [-1] * len(rows)
+            letters = [-1] * len(rows)
+            parents[0] = 0
             queue = [0]
             head = 0
             while head < len(queue):
@@ -387,22 +388,28 @@ class CosetTable:
                 row = rows[c]
                 for x in range(width):
                     d = row[x]
-                    if not seen[d]:
-                        seen[d] = True
-                        parents.append(c)
-                        letters.append(x)
+                    if parents[d] < 0:
+                        parents[d] = c
+                        letters[d] = x
                         queue.append(d)
             self._tree = (parents, letters)
         return self._tree
 
+    def rep_letters(self, coset: int) -> list[int]:
+        """Letters of the shortest (then letter-order first) word from 0 to the coset."""
+        parents, letters = self.spanning_tree()
+        out = []
+        while coset:
+            out.append(letters[coset])
+            coset = parents[coset]
+        out.reverse()
+        return out
+
     def rep_words(self) -> tuple[GroupWord, ...]:
         """Shortest (then letter-order first) word reaching each coset from 0."""
-        rows = self._rows
-        reps: list[tuple[int, ...] | None] = [None] * len(rows)
-        reps[0] = ()
-        for c, x in zip(*self.spanning_tree()):
-            reps[rows[c][x]] = reps[c] + (x,)
-        return tuple(GroupWord.from_indices(self._alphabet, r) for r in reps)
+        return tuple(
+            GroupWord.from_indices(self._alphabet, self.rep_letters(c)) for c in range(self.size)
+        )
 
     def to_csv(self) -> str:
         header = "coset," + ",".join(self._alphabet.letters)
@@ -580,10 +587,7 @@ def todd_coxeter(
             if d not in number:
                 number[d] = len(order_of)
                 order_of.append(d)
-    rows = [
-        [number[table[c][x]] for x in range(width)]
-        for c in order_of
-    ]
+    rows = [tuple([number[d] for d in table[c]]) for c in order_of]
     return CosetTable(alphabet, rows, allocated=len(table))
 
 
@@ -593,16 +597,16 @@ class FiniteQuotient:
     Elements are coset numbers; 0 is the identity.  ``exponent_certified``
     is set once every element has been checked to satisfy ``g^n = 1``,
     which identifies the quotient with the universal exponent-n quotient
-    of the free group.
+    of the free group.  Representative words are read off the table's
+    spanning tree when asked, not stored.
     """
 
-    __slots__ = ("_rank", "_exponent", "_table", "_reps", "_certified", "_base_length")
+    __slots__ = ("_rank", "_exponent", "_table", "_certified", "_base_length")
 
     def __init__(self, rank: int, exponent: int, table: CosetTable, base_length: int):
         self._rank = rank
         self._exponent = exponent
         self._table = table
-        self._reps = table.rep_words()
         self._base_length = base_length
         self._certified = False
 
@@ -640,10 +644,12 @@ class FiniteQuotient:
         if self._certified:
             return True
         n = self._exponent
-        for rword in self._reps:
+        table = self._table
+        for element in range(table.size):
+            letters = table.rep_letters(element)
             e = 0
             for _ in range(n):
-                e = self._table.trace(e, rword)
+                e = table.trace(e, letters)
             if e != 0:
                 return False
         self._certified = True
@@ -656,13 +662,13 @@ class FiniteQuotient:
         return self._table.trace(0, word)
 
     def rep_word(self, element: int) -> GroupWord:
-        return self._reps[element]
+        return GroupWord._trusted(self.alphabet, self._table.rep_letters(element))
 
     def multiply(self, x: int, y: int) -> int:
-        return self._table.trace(x, self._reps[y])
+        return self._table.trace(x, self._table.rep_letters(y))
 
     def inverse(self, x: int) -> int:
-        return self._table.trace(0, flip(self._reps[x]))
+        return self._table.trace(0, flip(self.rep_word(x)))
 
     def __repr__(self) -> str:
         return (
@@ -784,19 +790,24 @@ def induced_order(f: BasisMap, quotient: FiniteQuotient, max_k: int = 10_000) ->
     The quotient must be exponent-certified (its kernel is fully invariant,
     so any endomorphism descends); the map must come from an automorphism,
     which is re-checked here by requiring the induced action to permute the
-    elements.  The order is the cycle-length lcm, reported as ExceedsBound
-    when above ``max_k``.
+    elements.  The order is reported as ExceedsBound when above ``max_k``.
 
-    The permutation pi sends element e to the image of ``f(rep_word(e))``.
-    It is built from the images of the letters alone, along the table's
-    breadth-first spanning tree: pi(0) = 0, and for a tree edge d = c.x,
-    ``rep_word(d)`` is ``rep_word(c)`` followed by x, so
-    f(rep_word(d)) = f(rep_word(c)) f(x) and pi(d) is the walk of f(x)
-    from pi(c) through the table.  Every column of a closed table is a
-    permutation whose inverse is the column of the inverse letter, so
-    free cancellation does not change where a walk ends, and this is
-    exactly the element that evaluating the reduced image of
-    ``rep_word(d)`` gives.  Each element costs one letter image's walk.
+    The induced map pi sends element e to the image of ``f(rep_word(e))``:
+    the walk of the letters' images, in order, from 0 through the table.
+    Every column of a closed table is a permutation whose inverse is the
+    column of the inverse letter, so free cancellation does not change
+    where a walk ends, and the images need no reduction.
+    Only the trajectories of the r generators are followed.  From each
+    generator g the walk g, pi(g), pi^2(g), ... runs until it meets an
+    element a second time, which happens within ``quotient.order`` steps.
+    If that element is g, the walk has closed a cycle of length L_g.  If it
+    is any other element, two different elements have the same image, so
+    pi is not injective and f is not an automorphism.  If every generator
+    comes back, pi^L fixes every generator for L = lcm(L_g).  Since pi^L is
+    an endomorphism and the generators generate the quotient, pi^L is the
+    identity; so pi is a permutation, its order divides L, and as each L_g
+    divides it, the order is exactly L.  The cost is one short walk per
+    step, sum(L_g) steps in all, and nothing of size ``quotient.order``.
     """
     if not quotient.exponent_certified:
         raise ValueError("quotient is not exponent-certified")
@@ -808,26 +819,30 @@ def induced_order(f: BasisMap, quotient: FiniteQuotient, max_k: int = 10_000) ->
         raise ValueError("max_k must be positive")
     table = quotient.table
     rows = table._rows
+    parents, letters = table.spanning_tree()
     images = [f.letter_image(x) for x in range(len(table.alphabet.letters))]
-    n = quotient.order
-    pi = [0] * n
-    for c, x in zip(*table.spanning_tree()):
-        e = pi[c]
-        for k in images[x]:
-            e = rows[e][k]
-        pi[rows[c][x]] = e
-    if len(set(pi)) != n:
-        raise ValueError("the induced map is not a permutation; not an automorphism")
-    seen = [False] * n
+
+    def pi(e: int) -> int:
+        path = []  # images of e's representative letters, last letter first
+        while e:
+            path.append(images[letters[e]])
+            e = parents[e]
+        for image in reversed(path):  # e is 0 here
+            for k in image:
+                e = rows[e][k]
+        return e
+
     order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        e = start
-        while not seen[e]:
-            seen[e] = True
-            e = pi[e]
+    for x in range(0, len(images), 2):
+        g = rows[0][x]
+        visited = {g}
+        e = pi(g)
+        length = 1
+        while e != g:
+            if e in visited:
+                raise ValueError("the induced map is not a permutation; not an automorphism")
+            visited.add(e)
+            e = pi(e)
             length += 1
         order = math.lcm(order, length)
     if order > max_k:

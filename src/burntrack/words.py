@@ -560,8 +560,9 @@ def find_power_runs(word: Word, min_exponent: int) -> list[PowerRun]:
     """
     if min_exponent < 2:
         raise ValueError(f"min_exponent must be >= 2, got {min_exponent}")
+    # the scanner's runs satisfy PowerRun's check by construction
     return [
-        PowerRun(start=k, period=word[k : k + p], exponent=length // p, remainder=length % p)
+        PowerRun._trusted(k, word[k : k + p], length // p, length % p)
         for k, p, length in _runs(word.indices, min_exponent)
     ]
 

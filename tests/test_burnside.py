@@ -460,6 +460,18 @@ class TestOracle:
         for e in range(q.order):
             assert q.eval_word(q.rep_word(e)) == e
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_rep_word_read_off_the_tree(self, rank):
+        q = burnside_oracle(rank, 3)
+        words = q.table.rep_words()
+        parents, letters = q.table.spanning_tree()
+        assert (parents[0], letters[0]) == (0, -1)
+        for e in range(q.order):
+            assert q.rep_word(e) == words[e]
+            if e:
+                assert q.table.step(parents[e], letters[e]) == e
+                assert len(words[parents[e]]) == len(words[e]) - 1
+
     def test_inverse(self):
         q = burnside_oracle(2, 3)
         for e in range(q.order):
@@ -594,8 +606,23 @@ class TestInducedOrder:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             collapse = BasisMap(F2, {"a": "a", "b": "a"})
-        with pytest.raises(ValueError, match="permutation"):
+        # a is fixed; the walk from b goes b -> a -> a and meets a again,
+        # not b, so two elements share an image
+        assert generator_cycles(collapse, q) == [1, None]
+        with pytest.raises(ValueError, match="not a permutation; not an automorphism"):
             induced_order(collapse, q)
+
+    @pytest.mark.parametrize("max_k", [3, 4, 5, 6, 10_000])
+    def test_rank_three_cycles_of_different_lengths(self, max_k):
+        # generator cycles of lengths 1, 3 and 2: the order is their lcm,
+        # and a bound from the longest cycle up to the lcm is exceeded
+        F3 = InverseAlphabet("abc")
+        q = burnside_oracle(3, 3)
+        f = BasisMap(F3, {"a": "a", "b": "b a", "c": "c^-1"})
+        assert generator_cycles(f, q) == [1, 3, 2]
+        expected = per_element_order(f, q, max_k)
+        assert expected == (ExceedsBound(max_k) if max_k < 6 else Order(6))
+        assert induced_order(f, q, max_k=max_k) == expected
 
     def test_alphabet_mismatch(self):
         q = burnside_oracle(2, 3)
@@ -625,6 +652,23 @@ def per_element_order(f, q, max_k):
     return ExceedsBound(max_k) if order > max_k else Order(order)
 
 
+def generator_cycles(f, q):
+    """Length of each generator's cycle under the map, by definition.
+
+    None where the walk from the generator meets another element twice.
+    """
+    out = []
+    for x in q.alphabet.positive_letters:
+        g = q.eval_word(Word.parse(q.alphabet, x))
+        seen = [g]
+        e = q.eval_word(f.apply(q.rep_word(g)))
+        while e not in seen:
+            seen.append(e)
+            e = q.eval_word(f.apply(q.rep_word(e)))
+        out.append(len(seen) if e == g else None)
+    return out
+
+
 def random_basis_map(rng, alphabet, invertible):
     """A product of Nielsen moves, or a map with random short images."""
     names = alphabet.positive_letters
@@ -649,9 +693,9 @@ def random_basis_map(rng, alphabet, invertible):
 
 
 class TestInducedOrderDifferential:
-    """The tree walk against the per-element definition, on every quotient."""
+    """The generator walk against the per-element definition, on every quotient."""
 
-    @pytest.mark.parametrize("rank,exponent,maps", [(2, 2, 40), (3, 2, 40), (2, 3, 40), (3, 3, 16)])
+    @pytest.mark.parametrize("rank,exponent,maps", [(2, 2, 40), (3, 2, 40), (2, 3, 40), (3, 3, 32)])
     def test_matches_per_element_definition(self, rank, exponent, maps):
         q = burnside_oracle(rank, exponent)
         alphabet = q.alphabet

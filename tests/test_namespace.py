@@ -1,0 +1,80 @@
+"""The package namespace resolves its names lazily, and stores none of them."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import burntrack
+
+SUBMODULES = ("automorphisms", "burnside", "graphmap", "limits", "matrices", "substitutions", "words")
+
+
+def loaded_after(code: str) -> list[str]:
+    """burntrack submodules, dataclasses and inspect loaded after ``code``, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    probe = (
+        f"import sys\n{code}\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('burntrack.') or m in ('dataclasses', 'inspect')))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout)
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import burntrack") == []
+
+
+def test_a_name_loads_only_its_module_and_what_that_imports():
+    loaded = loaded_after("import burntrack; burntrack.induced_order")
+    assert "burntrack.burnside" in loaded
+    for name in ("graphmap", "substitutions", "cli"):
+        assert f"burntrack.{name}" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_star_import_binds_every_name():
+    code = (
+        "from burntrack import *\n"
+        "import burntrack\n"
+        "missing = [n for n in burntrack.__all__ if n not in globals()]\n"
+        "assert not missing, missing"
+    )
+    loaded = loaded_after(code)
+    assert {f"burntrack.{m}" for m in SUBMODULES} <= set(loaded)
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_each_name_is_its_modules_binding():
+    for name in burntrack.__all__:
+        home = importlib.import_module(burntrack._HOME[name])
+        assert getattr(burntrack, name) is getattr(home, name), name
+        assert name in dir(burntrack)
+
+
+def test_submodules_resolve_and_unknown_names_raise():
+    for name in SUBMODULES:
+        assert getattr(burntrack, name) is importlib.import_module(f"burntrack.{name}")
+        assert name in dir(burntrack)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        burntrack.no_such_name
+
+
+def test_a_patch_in_the_module_is_seen_and_not_kept(monkeypatch):
+    from burntrack import burnside
+
+    original = burnside.induced_order
+    assert burntrack.induced_order is original
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(burnside, "induced_order", wrapper)
+    assert burntrack.induced_order is wrapper
+    monkeypatch.undo()
+    assert burntrack.induced_order is original
+    assert "induced_order" not in vars(burntrack)

@@ -79,3 +79,11 @@ def test_package_does_not_load_dataclasses():
     code = "import sys, burntrack, burntrack.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_trusted_skips_the_check_and_equals_a_checked_record():
+    assert OURS._trusted(1, "p") == OURS(1, "p")
+    assert repr(OURS._trusted(1, "p")) == repr(OURS(1, "p"))
+    assert OURS._trusted(-1, "o").x == -1  # no __post_init__
+    with pytest.raises(AttributeError):
+        OURS._trusted(1, "p").x = 2

@@ -329,6 +329,23 @@ class TestPowerRuns:
         seq = (0, 1) * 120 + (2,)
         assert _runs(seq, 2) == [(0, 2, 240)]
 
+    def test_records_equal_checked_records(self):
+        # find_power_runs builds its records unchecked; the public
+        # constructor, with its check, must give equal ones
+        rng = random.Random(7)
+        words = [tuple(rng.randrange(2) for _ in range(rng.randrange(200, 400))) for _ in range(40)]
+        words.append((0, 1) * 120 + (2,))
+        alph = Alphabet("abc")
+        for seq in words:
+            w = Word.from_indices(alph, seq)
+            runs = find_power_runs(w, 2)
+            checked = [
+                PowerRun(start=k, period=w[k : k + p], exponent=n // p, remainder=n % p)
+                for k, p, n in _runs(seq, 2)
+            ]
+            assert runs == checked and [hash(r) for r in runs] == [hash(r) for r in checked]
+            assert [repr(r) for r in runs] == [repr(r) for r in checked]
+
     def test_wide_alphabet_against_bruteforce(self):
         # 260 letter indices take two bytes each, indices past 65535 four.
         # Each pool pairs letters that agree in some bytes, so zero bytes of
