@@ -55,95 +55,7 @@ _HOME = {name: f"{__name__}.{module}" for module, names in _HOMES.items() for na
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianizationMatrix",
-    "Alphabet",
-    "AuditReport",
-    "BasisMap",
-    "CosetTable",
-    "EdgePath",
-    "ElementaryMove",
-    "EnumerationIncomplete",
-    "ExceedsBound",
-    "FiniteQuotient",
-    "FixedPointStream",
-    "Graph",
-    "GroupWord",
-    "Growth",
-    "GrowthCapExceeded",
-    "GrowthEstimate",
-    "InverseAlphabet",
-    "Joined",
-    "MoveParams",
-    "NonOrientable",
-    "NonnegIntMatrix",
-    "NoPeriodUpTo",
-    "Order",
-    "Orientable",
-    "PFResult",
-    "Periodic",
-    "PowerIterationError",
-    "PowerRun",
-    "RefinementNeeded",
-    "RTTReport",
-    "SearchBudget",
-    "StratifiedGraphMap",
-    "StratumKind",
-    "StratumReport",
-    "Substitution",
-    "Turn",
-    "TurnTable",
-    "Undecided",
-    "Word",
-    "YellowPiece",
-    "abelianization",
-    "apply_elementary_move",
-    "build_turn_table",
-    "burnside_oracle",
-    "certifies_polynomial_growth",
-    "certify_aperiodic_by_eigenvalue",
-    "check_rtt",
-    "classify_strata",
-    "common_descendant_search",
-    "cyclic_reduce",
-    "detect_shift_period",
-    "f_sharp",
-    "find_elementary_moves",
-    "find_power_runs",
-    "fixed_point_prefix",
-    "flip",
-    "growth_classify",
-    "growth_rank2",
-    "growth_rate_estimate",
-    "has_permutation_blocks",
-    "induced_order",
-    "induced_substitution",
-    "int_determinant",
-    "is_irreducible",
-    "is_primitive",
-    "is_transitive_permutation",
-    "letter_cap",
-    "letter_count_matrix",
-    "max_power_index",
-    "move_log",
-    "orbit",
-    "orbit_power_index",
-    "orientability",
-    "path_is_k_legal",
-    "pf_eigenvalue",
-    "pf_eigenvalue_via_shift",
-    "pf_length",
-    "polynomial_order_bound",
-    "primitive_root",
-    "red_alphabet",
-    "red_commutation_check",
-    "red_projection",
-    "reduce",
-    "todd_coxeter",
-    "verify_automorphism",
-    "yellow_loop_audit",
-    "yellow_red_split",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

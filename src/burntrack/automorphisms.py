@@ -20,9 +20,9 @@ import warnings
 from typing import Mapping
 
 from ._records import frozen
-from .limits import check_letters, letter_cap
+from .limits import check_letters
 from .matrices import NonnegIntMatrix, _pair_count_matrix, has_permutation_blocks, int_determinant
-from .words import GroupWord, InverseAlphabet, Word, _image_length, _tighten, reduce
+from .words import GroupWord, InverseAlphabet, Word, _image_length, _LetterMap, _tighten, reduce
 
 __all__ = [
     "BasisMap",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-class BasisMap:
+class BasisMap(_LetterMap):
     """Homomorphism of the free group on an :class:`InverseAlphabet`.
 
     ``images`` maps each positive letter name to a word (or token string);
@@ -49,60 +49,33 @@ class BasisMap:
     is invertible is a separate question (:func:`verify_automorphism`).
     """
 
-    __slots__ = ("_alphabet", "_table", "_longest")
+    __slots__ = ()
 
     def __init__(self, alphabet: InverseAlphabet, images: Mapping[str, Word | str]):
         if not alphabet.has_inverses:
             raise ValueError("BasisMap needs an InverseAlphabet")
-        needed = alphabet.positive_letters
-        extra = set(images) - set(needed)
-        if extra:
-            raise ValueError(f"images must be keyed by positive letters; got {sorted(extra)!r}")
-        missing = set(needed) - set(images)
-        if missing:
-            raise ValueError(f"missing images for letters {sorted(missing)!r}")
-        table: list[tuple[int, ...]] = [()] * len(alphabet.letters)
-        for name in needed:
-            img = images[name]
-            if isinstance(img, str):
-                img = Word.parse(alphabet, img)
-            if img.alphabet != alphabet:
-                raise ValueError(f"image of {name!r} lives over a different alphabet")
-            seq = reduce(img).indices
-            i = alphabet.index(name)
-            table[i] = seq
-            table[i ^ 1] = tuple(k ^ 1 for k in reversed(seq))
-        self._alphabet = alphabet
-        self._table = tuple(table)
-        self._longest = max(map(len, table), default=0)
+        super().__init__(alphabet, images)
+
+    def _image_indices(self, name: str, image: Word | str) -> tuple[int, ...]:
+        return reduce(self._word(name, image)).indices
 
     @classmethod
     def identity(cls, alphabet: InverseAlphabet) -> "BasisMap":
         return cls(alphabet, {x: Word(alphabet, [x]) for x in alphabet.positive_letters})
 
-    @property
-    def alphabet(self) -> InverseAlphabet:
-        return self._alphabet
-
     def image(self, name: str) -> GroupWord:
         return GroupWord.from_indices(self._alphabet, self._table[self._alphabet.index(name)])
-
-    def letter_image(self, i: int) -> tuple[int, ...]:
-        return self._table[i]
 
     def apply(self, word: Word) -> GroupWord:
         """Image of a word, freely reduced (single fused pass).
 
         Raises :class:`GrowthCapExceeded` before building anything when the
-        image before cancellation would be longer than the letter cap.  The
-        exact length is only summed when the longest letter image times the
-        word length could exceed the cap.
+        image before cancellation would be longer than the letter cap.
         """
         if word.alphabet != self._alphabet:
             raise ValueError("word is over a different alphabet")
+        self._check_growth(word.indices)
         table = self._table
-        if len(word) * self._longest > letter_cap():
-            check_letters(_image_length(table, word.indices))
         return GroupWord._trusted(self._alphabet, _tighten([table[i] for i in word.indices]))
 
     __call__ = apply
@@ -123,20 +96,6 @@ class BasisMap:
             if p:
                 base = compose(base, base)
         return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BasisMap):
-            return NotImplemented
-        return self._alphabet == other._alphabet and self._table == other._table
-
-    def __hash__(self) -> int:
-        return hash((self._alphabet, self._table))
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{x} -> {self.image(x)}" for x in self._alphabet.positive_letters
-        )
-        return f"BasisMap({parts})"
 
 
 def compose(outer: BasisMap, inner: BasisMap) -> BasisMap:

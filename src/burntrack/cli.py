@@ -303,8 +303,7 @@ def dump_session(session: SessionFile) -> str:
         if kind == "alphabet":
             a = session.alphabets[name]
             which = "inverse" if a.has_inverses else "plain"
-            letters = a.positive_letters if a.has_inverses else a.letters
-            chunks.append(f"alphabet {name} {which} " + " ".join(letters))
+            chunks.append(f"alphabet {name} {which} " + " ".join(a.positive_letters))
         elif kind in ("subst", "autom"):
             obj = session.substitutions[name] if kind == "subst" else session.basis_maps[name]
             alph = obj.alphabet
@@ -313,8 +312,7 @@ def dump_session(session: SessionFile) -> str:
                 # parsed sessions always share instances; fall back by value
                 aname = next(n for n, a in session.alphabets.items() if a == alph)
             lines = [f"{kind} {name} over {aname}"]
-            keys = alph.positive_letters if alph.has_inverses else alph.letters
-            for x in keys:
+            for x in alph.positive_letters:
                 lines.append(f"  {x} -> {obj.image(x)}")
             lines.append("end")
             chunks.append("\n".join(lines))
@@ -562,9 +560,7 @@ def _pf_data(obj):
     if not is_irreducible(matrix):
         raise _CliError("transition matrix is reducible; no leading eigenvalue")
     pf = pf_eigenvalue(matrix) if is_primitive(matrix) else pf_eigenvalue_via_shift(matrix)
-    alph = obj.alphabet
-    names = alph.positive_letters if alph.has_inverses else alph.letters
-    return pf.eigenvalue, pf.eigenvector, pf.residual, list(names)
+    return pf.eigenvalue, pf.eigenvector, pf.residual, list(obj.alphabet.positive_letters)
 
 
 def _cmd_pf(args):

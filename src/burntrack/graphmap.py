@@ -27,7 +27,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._records import frozen
 from .automorphisms import AbelianizationMatrix, Growth
-from .limits import check_letters, letter_cap
 from .matrices import (
     NonnegIntMatrix,
     _pair_count_matrix,
@@ -39,7 +38,7 @@ from .matrices import (
     pf_eigenvalue_via_shift,
 )
 from .substitutions import Substitution
-from .words import InverseAlphabet, Word, _image_length, _join_images, _tighten, flip
+from .words import InverseAlphabet, Word, _image_length, _join_images, _LetterMap, _tighten, flip
 
 __all__ = [
     "Graph",
@@ -362,7 +361,7 @@ class EdgePath:
         return f"EdgePath({str(self)!r})"
 
 
-class StratifiedGraphMap:
+class StratifiedGraphMap(_LetterMap):
     """Graph self-map respecting the height filtration.
 
     ``vertex_map`` sends every vertex to a vertex; ``edge_images`` sends
@@ -375,11 +374,16 @@ class StratifiedGraphMap:
     graph is computed through a spanning tree; a determinant other than
     +-1 cannot come from a homotopy equivalence, so it triggers a warning
     (only a necessary condition is checked, nothing is proved).
+
+    Maps on different graphs can share an edge alphabet and a table, so
+    equality is identity.
     """
 
-    __slots__ = (
-        "_graph", "_vmap", "_table", "_codes", "_longest", "_df", "_legal_cache", "_strata_cache"
-    )
+    __slots__ = ("_graph", "_vmap", "_codes", "_df", "_legal_cache", "_strata_cache")
+
+    _keys = "positive edge names"
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -393,50 +397,13 @@ class StratifiedGraphMap:
         for v, w in vertex_map.items():
             if not graph.has_vertex(v) or not graph.has_vertex(w):
                 raise ValueError(f"vertex_map entry {v!r} -> {w!r} uses unknown vertices")
-
-        names = graph.positive_edges
-        extra = set(edge_images) - set(names)
-        if extra:
-            raise ValueError(f"images must be keyed by positive edge names; got {sorted(extra)!r}")
-        missing = set(names) - set(edge_images)
-        if missing:
-            raise ValueError(f"missing images for edges {sorted(missing)!r}")
-
-        alph = graph.edge_alphabet
-        table: list[tuple[int, ...]] = [()] * len(alph.letters)
-        for p, name in enumerate(names):
-            img = edge_images[name]
-            if isinstance(img, str):
-                if not img.split():
-                    raise ValueError(f"image of {name!r} is trivial; edges may not collapse")
-                img = EdgePath(graph, img)
-            if img.graph != graph:
-                raise ValueError(f"image of {name!r} lives on a different graph")
-            if img.is_trivial:
-                raise ValueError(f"image of {name!r} is trivial; edges may not collapse")
-            i = 2 * p
-            h = graph.height(i)
-            for j in img.indices:
-                if graph.height(j) > h:
-                    raise ValueError(
-                        f"filtration violated: image of {name!r} (height {h}) "
-                        f"crosses {alph.token(j)} of height {graph.height(j)}"
-                    )
-            if img.origin != vertex_map[graph.origin(i)] or img.terminus != vertex_map[graph.terminus(i)]:
-                raise ValueError(
-                    f"image of {name!r} runs {img.origin!r} -> {img.terminus!r}, "
-                    f"expected {vertex_map[graph.origin(i)]!r} -> {vertex_map[graph.terminus(i)]!r}"
-                )
-            table[i] = img.indices
-            table[i ^ 1] = tuple(j ^ 1 for j in reversed(img.indices))
-
         self._graph = graph
         self._vmap = dict(vertex_map)
-        self._table = tuple(table)
+        super().__init__(graph.edge_alphabet, edge_images)
+        table = self._table
         # byte images for _join_images, which needs every index below 256
         self._codes = tuple(map(bytes, table)) if len(table) <= 256 else None
-        self._longest = max(map(len, table))
-        self._df = tuple(img[0] for img in self._table)
+        self._df = tuple(img[0] for img in table)
         self._legal_cache: dict[tuple[int, int], bool] = {}
         self._strata_cache: tuple[StratumReport, ...] | None = None
 
@@ -448,6 +415,32 @@ class StratifiedGraphMap:
                     f"homotopy equivalence",
                     stacklevel=2,
                 )
+
+    def _image_indices(self, name: str, image: "EdgePath | str") -> tuple[int, ...]:
+        graph = self._graph
+        if isinstance(image, str):
+            if not image.split():
+                raise ValueError(f"image of {name!r} is trivial; edges may not collapse")
+            image = EdgePath(graph, image)
+        if image.graph != graph:
+            raise ValueError(f"image of {name!r} lives on a different graph")
+        if image.is_trivial:
+            raise ValueError(f"image of {name!r} is trivial; edges may not collapse")
+        i = self._alphabet.index(name)
+        h = graph.height(i)
+        for j in image.indices:
+            if graph.height(j) > h:
+                raise ValueError(
+                    f"filtration violated: image of {name!r} (height {h}) "
+                    f"crosses {self._alphabet.token(j)} of height {graph.height(j)}"
+                )
+        vmap = self._vmap
+        if image.origin != vmap[graph.origin(i)] or image.terminus != vmap[graph.terminus(i)]:
+            raise ValueError(
+                f"image of {name!r} runs {image.origin!r} -> {image.terminus!r}, "
+                f"expected {vmap[graph.origin(i)]!r} -> {vmap[graph.terminus(i)]!r}"
+            )
+        return image.indices
 
     @property
     def graph(self) -> Graph:
@@ -565,20 +558,14 @@ class StratifiedGraphMap:
             raise ValueError(f"no edges of height {k}")
         return _pair_count_matrix(self._table, positions)
 
-    def __repr__(self) -> str:
-        g = self._graph
-        parts = ", ".join(f"{e} -> {self.edge_image(e).compact()}" for e in g.positive_edges)
-        return f"StratifiedGraphMap({parts})"
-
 
 def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     """Image of a tight path under ``power`` applications, tightened each time.
 
     Tightening first does not change the next image's tightened form, so
     iterating this single-step operation computes the fully reduced p-fold
-    image directly.  Like :meth:`BasisMap.apply`, each step sums the exact
-    image length for the letter cap only when the longest edge image times
-    the path length could exceed the cap.
+    image directly.  Like :meth:`BasisMap.apply`, each step checks the
+    letter cap first, with the map's ``_check_growth``.
     """
     if power < 0:
         raise ValueError("power must be >= 0")
@@ -587,8 +574,7 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     g = f.graph
     cur = path
     for _ in range(power):
-        if len(cur) * f._longest > letter_cap():
-            check_letters(f.image_length_bound(cur))
+        f._check_growth(cur.indices)
         cur = EdgePath._make(
             g, Word._trusted(g.edge_alphabet, f.apply_raw(cur)), f.vertex_image(cur.origin)
         )

@@ -2,9 +2,12 @@
 
 Iterating a substitution or a graph map grows words geometrically, so the
 operations that iterate check the projected size against a cap before each
-expansion: ``Substitution.iterate``, ``orbit``, ``FixedPointStream``,
-``f_sharp``, ``BasisMap.apply``, ``BasisMap.power``, ``compose`` of basis
-maps and ``growth_rate_estimate``.  A single ``Substitution.apply`` or
+expansion.  A step that applies one map to one word calls the map's
+``_check_growth`` (see ``words._LetterMap``): ``orbit`` and so
+``Substitution.iterate``, ``BasisMap.apply`` and so ``BasisMap.power``, and
+``f_sharp``.  Three sites check a total over several words themselves:
+``FixedPointStream``, ``compose`` of basis maps and
+``growth_rate_estimate``.  A single ``Substitution.apply`` or
 ``StratifiedGraphMap.apply_raw`` is not checked; it grows its input by at
 most the longest letter image.  There is one setting: the
 ``BURNTRACK_MAX_LETTERS`` environment variable, default ten million

@@ -17,12 +17,12 @@ whether a coherent direction can be chosen through every inverse pair
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from ._records import frozen
 from .limits import check_letters
 from .matrices import NonnegIntMatrix, _pair_count_matrix, int_determinant
-from .words import Alphabet, InverseAlphabet, Word, _image_length, flip, max_power_index
+from .words import Alphabet, Word, _image_length, _LetterMap, max_power_index
 
 __all__ = [
     "Substitution",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class Substitution:
+class Substitution(_LetterMap):
     """Letterwise map x -> image(x) extended to words by concatenation.
 
     ``images`` maps letter names to words (or token strings).  Over a plain
@@ -51,46 +51,13 @@ class Substitution:
     are not allowed.
     """
 
-    __slots__ = ("_alphabet", "_table")
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, images: Mapping[str, Word | str]):
-        if alphabet.has_inverses:
-            needed = alphabet.positive_letters
-        else:
-            needed = alphabet.letters
-        extra = set(images) - set(needed)
-        if extra:
-            raise ValueError(
-                f"images must be keyed by {'positive ' if alphabet.has_inverses else ''}"
-                f"letters; unexpected keys {sorted(extra)!r}"
-            )
-        missing = set(needed) - set(images)
-        if missing:
-            raise ValueError(f"missing images for letters {sorted(missing)!r}")
-
-        table: list[tuple[int, ...]] = [()] * len(alphabet.letters)
-        for name in needed:
-            img = images[name]
-            if isinstance(img, str):
-                img = Word.parse(alphabet, img)
-            if img.alphabet != alphabet:
-                raise ValueError(f"image of {name!r} lives over a different alphabet")
-            if len(img) == 0:
-                raise ValueError(f"image of {name!r} is empty; erasing is not allowed")
-            i = alphabet.index(name)
-            table[i] = img.indices
-            if alphabet.has_inverses:
-                table[i ^ 1] = tuple(k ^ 1 for k in reversed(img.indices))
-        self._alphabet = alphabet
-        self._table = tuple(table)
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self._alphabet
-
-    def letter_image(self, i: int) -> tuple[int, ...]:
-        """Image of letter index i, as letter indices."""
-        return self._table[i]
+    def _image_indices(self, name: str, image: Word | str) -> tuple[int, ...]:
+        word = self._word(name, image)
+        if len(word) == 0:
+            raise ValueError(f"image of {name!r} is empty; erasing is not allowed")
+        return word.indices
 
     def image(self, name: str) -> Word:
         return Word.from_indices(self._alphabet, self._table[self._alphabet.index(name)])
@@ -145,31 +112,13 @@ class Substitution:
             cols.append(counts)
         return NonnegIntMatrix(tuple(zip(*cols)))
 
-    def max_image_length(self) -> int:
-        return max(len(img) for img in self._table)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self._alphabet == other._alphabet and self._table == other._table
-
-    def __hash__(self) -> int:
-        return hash((self._alphabet, self._table))
-
-    def __repr__(self) -> str:
-        alph = self._alphabet
-        names = alph.positive_letters if alph.has_inverses else alph.letters
-        parts = ", ".join(f"{x} -> {self.image(x)}" for x in names)
-        return f"Substitution({parts})"
-
 
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
     """The substitution sending x to outer(inner(x))."""
     if outer.alphabet != inner.alphabet:
         raise ValueError("can only compose substitutions over the same alphabet")
     alph = outer.alphabet
-    names = alph.positive_letters if alph.has_inverses else alph.letters
-    return Substitution(alph, {x: outer.apply(inner.image(x)) for x in names})
+    return Substitution(alph, {x: outer.apply(inner.image(x)) for x in alph.positive_letters})
 
 
 class FixedPointStream:
@@ -237,7 +186,7 @@ def orbit(subst: Substitution, seed: Word, depth: int) -> Iterator[tuple[int, Wo
         raise ValueError("depth must be >= 0")
     cur = seed
     for p in range(1, depth + 1):
-        check_letters(subst.applied_length(cur))
+        subst._check_growth(cur.indices)
         cur = subst.apply(cur)
         yield p, cur
 
@@ -303,7 +252,7 @@ def certify_aperiodic_by_eigenvalue(subst: Substitution) -> bool:
     radius.  False means inconclusive, not periodic.
     """
     m = subst.transition_matrix()
-    top = subst.max_image_length()
+    top = subst._longest
     if top < 2:
         return False  # nothing expands; this certificate says nothing
     n = m.size

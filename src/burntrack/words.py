@@ -16,6 +16,14 @@ pieces, which are reduced trivially.  ``_image_length`` is
 the one sum of letter-image lengths before cancellation, which the
 letter-cap checks read.
 
+``_LetterMap`` is the letter table behind ``Substitution``, ``BasisMap`` and
+``StratifiedGraphMap``: images keyed by the positive letters, the image of
+x^-1 the flip of the image of x, and the longest image.  Its
+``_check_growth`` is the letter-cap guard for one map applied to one word,
+which ``orbit``, ``BasisMap.apply`` and ``f_sharp`` call before each step;
+``FixedPointStream``, ``compose`` of basis maps and ``growth_rate_estimate``
+check their totals over several words with ``limits.check_letters``.
+
 ``_join_images`` sits in front of ``_tighten`` for alphabets of at most 256
 letters, where every letter image is also kept as bytes: it joins the byte
 images in one step and looks for an adjacent inverse pair with one scan at
@@ -44,9 +52,10 @@ from __future__ import annotations
 import re
 from array import array
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._records import frozen
+from .limits import check_letters, letter_cap
 
 __all__ = [
     "Alphabet",
@@ -102,6 +111,11 @@ class Alphabet:
 
     @property
     def letters(self) -> tuple[str, ...]:
+        return self._letters
+
+    @property
+    def positive_letters(self) -> tuple[str, ...]:
+        """The letters that carry images: all of them, since none has an inverse."""
         return self._letters
 
     def __len__(self) -> int:
@@ -399,6 +413,86 @@ def _join_images(
 def _image_length(table: Sequence[Sequence[int]], seq: Iterable[int]) -> int:
     """Length of the concatenated letter images of ``seq``, before any cancellation."""
     return sum(len(table[i]) for i in seq)
+
+
+class _LetterMap:
+    """Letter table of a map that sends each letter to a sequence of letters.
+
+    ``images`` is keyed by exactly the positive letters of the alphabet (every
+    letter of a plain one); over an :class:`InverseAlphabet` the image of
+    x^-1 is the flip of the image of x.  A subclass reads each given image
+    into letter indices with its own check, in ``_image_indices``.  Equal
+    maps have the same class, alphabet and table.
+    """
+
+    __slots__ = ("_alphabet", "_table", "_longest")
+
+    _keys = "positive letters"  # what the images are keyed by, for error messages
+
+    def __init__(self, alphabet: Alphabet, images: Mapping[str, object]):
+        needed = alphabet.positive_letters
+        extra = set(images) - set(needed)
+        if extra:
+            raise ValueError(
+                f"images must be keyed by {self._keys}; unexpected keys {sorted(extra)!r}"
+            )
+        missing = set(needed) - set(images)
+        if missing:
+            raise ValueError(f"missing images for {self._keys} {sorted(missing)!r}")
+        self._alphabet = alphabet
+        table: list[tuple[int, ...]] = [()] * len(alphabet.letters)
+        for name in needed:
+            seq = self._image_indices(name, images[name])
+            i = alphabet.index(name)
+            table[i] = seq
+            if alphabet.has_inverses:
+                table[i ^ 1] = tuple(k ^ 1 for k in reversed(seq))
+        self._table = tuple(table)
+        self._longest = max(map(len, table))
+
+    def _image_indices(self, name: str, image) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def _word(self, name: str, image: Word | str) -> Word:
+        """A given image as a word over this map's alphabet; a string is parsed."""
+        if isinstance(image, str):
+            image = Word.parse(self._alphabet, image)
+        if image.alphabet != self._alphabet:
+            raise ValueError(f"image of {name!r} lives over a different alphabet")
+        return image
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self._alphabet
+
+    def letter_image(self, i: int) -> tuple[int, ...]:
+        """Image of letter index i, as letter indices."""
+        return self._table[i]
+
+    def _check_growth(self, seq: Sequence[int]) -> None:
+        """Raise :class:`GrowthCapExceeded` when the images of ``seq`` pass the letter cap.
+
+        The exact length before cancellation is summed only when the
+        longest letter image times the length of ``seq`` could pass it.
+        """
+        if len(seq) * self._longest > letter_cap():
+            check_letters(_image_length(self._table, seq))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._alphabet == other._alphabet and self._table == other._table
+
+    def __hash__(self) -> int:
+        return hash((self._alphabet, self._table))
+
+    def __repr__(self) -> str:
+        alph = self._alphabet
+        parts = ", ".join(
+            f"{x} -> {Word._trusted(alph, self._table[alph.index(x)])}"
+            for x in alph.positive_letters
+        )
+        return f"{type(self).__name__}({parts})"
 
 
 def reduce(word: Word) -> GroupWord:

@@ -73,7 +73,7 @@ def _object_cases(session: str, formats: tuple[tuple[str, ...], ...]) -> list[li
             seed, letter, rank = edges[-1], edges[0], 2
         else:
             alph = (s.substitutions.get(name) or s.basis_maps[name]).alphabet
-            letters = alph.positive_letters if alph.has_inverses else alph.letters
+            letters = alph.positive_letters
             seed, letter, rank = letters[-1], letters[0], len(letters)
         for query in (
             ["classify", name],

@@ -50,6 +50,10 @@ def test_star_import_binds_every_name():
 
 
 def test_each_name_is_its_modules_binding():
+    assert burntrack.__all__ == sorted(burntrack.__all__)
+    for module, names in burntrack._HOMES.items():
+        exported = importlib.import_module(f"burntrack.{module}").__all__
+        assert set(names) <= set(exported), module
     for name in burntrack.__all__:
         home = importlib.import_module(burntrack._HOME[name])
         assert getattr(burntrack, name) is getattr(home, name), name

@@ -297,7 +297,7 @@ def test_red_tables_are_cached_per_graph_and_height(name):
 @st.composite
 def substitutions_and_words(draw):
     alph = draw(st.sampled_from([Alphabet("abc"), InverseAlphabet("ab")]))
-    names = alph.positive_letters if alph.has_inverses else alph.letters
+    names = alph.positive_letters
     width = len(alph.letters)
     nonempty = st.lists(st.integers(0, width - 1), min_size=1, max_size=4)
     images = {x: Word.from_indices(alph, draw(nonempty)) for x in names}

@@ -1,4 +1,4 @@
-"""Words layer: alphabets, reduction, flips, and repetition search."""
+"""Words layer: alphabets, reduction, flips, repetition search and the letter-map core."""
 
 import itertools
 import random
@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burntrack.automorphisms import BasisMap
+from burntrack.graphmap import Graph, StratifiedGraphMap
+from burntrack.substitutions import Substitution
 from burntrack.words import (
     Alphabet,
     GroupWord,
@@ -68,6 +71,7 @@ class TestAlphabets:
         assert AB.name(0) == "a"
         assert "a" in AB and "c" not in AB
         assert not AB.has_inverses
+        assert AB.positive_letters == AB.letters
 
     def test_rejects_bad_names(self):
         with pytest.raises(ValueError):
@@ -400,3 +404,42 @@ class TestPowerRuns:
         squares = find_power_runs(w, 2)
         for m in range(2, 6):
             assert find_power_runs(w, m) == [r for r in squares if r.exponent >= m]
+
+
+# Substitution, BasisMap and StratifiedGraphMap all keep their letter
+# table in words._LetterMap; each builder below makes one of them from
+# images keyed by the positive letters a and b.
+ROSE2 = Graph.rose(["a", "b"])
+LETTER_MAPS = {
+    "Substitution": lambda images: Substitution(FREE2, images),
+    "BasisMap": lambda images: BasisMap(FREE2, images),
+    "StratifiedGraphMap": lambda images: StratifiedGraphMap(ROSE2, {"*": "*"}, images),
+}
+IMAGES = {"a": "a b", "b": "a"}
+
+
+@pytest.mark.parametrize("kind", sorted(LETTER_MAPS))
+def test_letter_map_core(kind):
+    build = LETTER_MAPS[kind]
+    with pytest.raises(ValueError, match=r"unexpected keys \['c'\]"):
+        build({**IMAGES, "c": "a"})
+    with pytest.raises(ValueError, match=r"missing images for .*\['b'\]"):
+        build({"a": "a b"})
+
+    f = build(IMAGES)
+    assert f.alphabet == ROSE2.edge_alphabet == FREE2
+    assert f.letter_image(0) == (0, 2) and f._longest == 2
+    for i in range(len(FREE2)):
+        assert f.letter_image(i ^ 1) == flip(Word.from_indices(FREE2, f.letter_image(i))).indices
+    assert repr(f) == f"{kind}(a -> a b, b -> a)"
+
+    # the same images under another class never make an equal map
+    for other in LETTER_MAPS:
+        if other != kind:
+            assert f != LETTER_MAPS[other](IMAGES)
+    twin = build(IMAGES)
+    if kind == "StratifiedGraphMap":
+        # maps on different graphs can share an alphabet and a table
+        assert f != twin and f == f
+    else:
+        assert f == twin and hash(f) == hash(twin)
