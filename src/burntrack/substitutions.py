@@ -22,7 +22,7 @@ from typing import Iterator
 from ._records import frozen
 from .limits import check_letters
 from .matrices import NonnegIntMatrix, _pair_count_matrix, int_determinant
-from .words import Alphabet, Word, _image_length, _LetterMap, max_power_index
+from .words import Alphabet, Word, _LetterMap, max_power_index
 
 __all__ = [
     "Substitution",
@@ -73,10 +73,6 @@ class Substitution(_LetterMap):
         return Word._trusted(self._alphabet, out)
 
     __call__ = apply
-
-    def applied_length(self, word: Word) -> int:
-        """Length of apply(word), computed without building it."""
-        return _image_length(self._table, word.indices)
 
     def iterate(self, word: Word, power: int) -> Word:
         """Apply the substitution ``power`` times.

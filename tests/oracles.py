@@ -23,15 +23,16 @@ def is_primitive_seq(u: Sequence) -> bool:
 def power_index_bruteforce(seq: Sequence) -> int:
     """Largest m such that some block repeats m times consecutively.
 
-    Cubic scan over every (start, block length) pair.  Empty input gives 0,
-    any nonempty input gives at least 1.
+    Cubic scan over every (start, block length) pair that could beat the
+    best count so far: m copies of a block of length p need m * p letters.
+    Empty input gives 0, any nonempty input gives at least 1.
     """
     n = len(seq)
     if n == 0:
         return 0
     best = 1
     for start in range(n):
-        for p in range(1, n - start + 1):
+        for p in range(1, (n - start) // (best + 1) + 1):
             u = seq[start : start + p]
             count = 1
             while tuple(seq[start + count * p : start + (count + 1) * p]) == tuple(u):
@@ -53,15 +54,13 @@ def maximal_runs_bruteforce(seq: Sequence, min_exponent: int = 2):
     found = set()
     for p in range(1, n // 2 + 1):
         for start in range(0, n - 2 * p + 1):
-            if not is_primitive_seq(seq[start : start + p]):
-                continue
             if start > 0 and seq[start - 1] == seq[start - 1 + p]:
                 continue  # extendable to the left: not the maximal start
             end = start + p
             while end < n and seq[end] == seq[end - p]:
                 end += 1
             length = end - start
-            if length < 2 * p:
+            if length < 2 * p or not is_primitive_seq(seq[start : start + p]):
                 continue
             exponent = length // p
             if exponent >= min_exponent:

@@ -23,7 +23,7 @@ from burntrack.substitutions import (
     orbit_power_index,
     orientability,
 )
-from burntrack.words import Alphabet, InverseAlphabet, Word, flip
+from burntrack.words import Alphabet, InverseAlphabet, Word, flip, max_power_index
 
 from .oracles import power_index_bruteforce
 
@@ -82,7 +82,7 @@ class TestApplication:
     def test_call_alias_and_length(self):
         w = Word.parse(AB, "a b a a b")
         assert FIB(w) == FIB.apply(w)
-        assert FIB.applied_length(w) == len(FIB.apply(w)) == 8
+        assert len(FIB.apply(w)) == 8
 
     def test_iterate(self):
         assert FIB.iterate(Word(AB, "b"), 5).compact() == "abaababa"
@@ -252,6 +252,14 @@ class TestOrbit:
     def test_orbit_indices_stay_small(self):
         for _, idx in orbit_power_index(FIB, Word(AB, "b"), 10):
             assert idx <= 3
+
+    def test_deep_fibonacci_index(self):
+        # `power-index fib a --depth 26` once took about 99 s, one pass per
+        # period over 196 418 letters; the critical exponent 2 + phi of the
+        # Fibonacci word (Mignosi-Pirillo) makes the index 3
+        w = FIB.iterate(Word(AB, "a"), 25)
+        assert len(w) == 196418
+        assert max_power_index(w) == 3
 
     def test_orbit_cap(self, monkeypatch):
         monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "500")

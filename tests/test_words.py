@@ -381,8 +381,44 @@ class TestPowerRuns:
         w = Word.from_indices(AB, seq)
         assert max_power_index(w) == 3
         runs = find_power_runs(w, 3)
-        assert runs
+        assert len(runs) == 2567  # as a pass at every period found them
         assert_maximal_primitive(seq, runs, 3)
+
+    def test_thue_morse_scale(self):
+        # squares of the Thue-Morse word have periods 2^k and 3 * 2^k only
+        seq = (0,)
+        while len(seq) < 4096:
+            seq += tuple(1 - i for i in seq)
+        periods = {p for _, p, _ in _runs(seq, 2)}
+        assert periods == {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
+                           1024}
+        assert max_power_index(Word.from_indices(AB, seq)) == 2
+
+    @pytest.mark.parametrize(
+        "pool", [(0, 1, 2), (0, 1, 3, 256, 257, 259), (0, 1, 256, 65536, 65537, 65792)]
+    )
+    def test_planted_periods_against_oracles(self, pool):
+        # Periods above 31 are scanned only where an aligned block of B
+        # letters recurs p letters on, p in [2B, 4B): plant powers at the
+        # edges of those octaves (2B, 4B - 1 and their neighbours) in random
+        # context, often at the end of the word.  In the other pools letters
+        # take two or four bytes and share some, so blocks also recur
+        # misaligned.
+        alph = InverseAlphabet([f"x{i}" for i in range(max(pool) // 2 + 1)])
+        rng = random.Random(sum(pool))
+        for p in (31, 32, 33, 63, 64, 65, 127, 128):
+            for exponent in (2, 3, 4):
+                u = [rng.choice(pool) for _ in range(p)]
+                left = [rng.choice(pool) for _ in range(rng.randrange(40))]
+                right = [rng.choice(pool) for _ in range(rng.choice((0, rng.randrange(40))))]
+                seq = tuple(left + u * exponent + right)
+                w = Word.from_indices(alph, seq)
+                squares = maximal_runs_bruteforce(seq, 2)
+                assert any(r[1] == p for r in squares)
+                for m in (2, 3, 4):
+                    expect = [r for r in squares if r[2] >= m]
+                    assert runs_as_tuples(find_power_runs(w, m)) == expect, (p, exponent, m)
+                assert max_power_index(w) == power_index_bruteforce(seq), (p, exponent)
 
     def test_long_word_against_bruteforce(self):
         rng = random.Random(11)
