@@ -5,11 +5,16 @@
 position or keyword (a class attribute is a field's default), an optional
 ``__post_init__`` check, equality and hashing by class and field values, a
 ``Name(field=value, ...)`` repr, ``__match_args__``, and an
-``AttributeError`` on every assignment or deletion.  ``Name._trusted``
-takes every field by position and skips the defaults and
-``__post_init__``, for callers that build values known to be valid, as
-``Word._trusted`` does for words.  The methods are
-closures, not generated source, so the package never imports
+``AttributeError`` on every assignment or deletion.  The field values
+live in the instance ``__dict__``, so a caller that makes many values
+known to be valid sets them key by key in the dict of
+``object.__new__(cls)`` and skips the defaults and ``__post_init__``:
+``words.find_power_runs`` builds its ``PowerRun`` records so, faster than
+a generic unchecked constructor, which pays for packing and zipping its
+arguments.  Set key by key, the dict keeps sharing the class's key table;
+``update`` with keyword arguments would give each record a table of its
+own, 72 bytes more on CPython 3.11.  The methods are closures, not
+generated source, so the package never imports
 ``dataclasses``, which loads ``inspect``, ``ast`` and ``dis`` and adds
 about 1 MB to every process that imports burntrack.
 """
@@ -38,11 +43,6 @@ def frozen(cls: type) -> type:
         if post_init is not None:
             post_init(self)
 
-    def _trusted(*args):
-        self = object.__new__(cls)
-        self.__dict__.update(zip(names, args))
-        return self
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {cls.__name__}")
 
@@ -67,7 +67,5 @@ def frozen(cls: type) -> type:
     for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    _trusted.__qualname__ = f"{cls.__qualname__}._trusted"
-    cls._trusted = staticmethod(_trusted)
     cls.__match_args__ = names
     return cls

@@ -81,9 +81,13 @@ def test_package_does_not_load_dataclasses():
     assert out.stdout.strip() == "[]"
 
 
-def test_trusted_skips_the_check_and_equals_a_checked_record():
-    assert OURS._trusted(1, "p") == OURS(1, "p")
-    assert repr(OURS._trusted(1, "p")) == repr(OURS(1, "p"))
-    assert OURS._trusted(-1, "o").x == -1  # no __post_init__
+def test_filled_dict_skips_the_check_and_equals_a_checked_record():
+    # the fields live in __dict__, which is how find_power_runs builds its
+    # records without the check
+    unchecked = object.__new__(OURS)
+    unchecked.__dict__["x"], unchecked.__dict__["y"] = 1, "p"
+    assert unchecked == OURS(1, "p") and hash(unchecked) == hash(OURS(1, "p"))
+    assert repr(unchecked) == repr(OURS(1, "p"))
+    assert vars(OURS(1, "p")) == {"x": 1, "y": "p"}
     with pytest.raises(AttributeError):
-        OURS._trusted(1, "p").x = 2
+        unchecked.x = 2

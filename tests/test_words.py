@@ -263,6 +263,38 @@ class TestPrimitiveRoot:
         assert len(u) * m == len(w)
 
 
+def _fibonacci(n):
+    seq = (0,)
+    while len(seq) < n:
+        seq = tuple(k for i in seq for k in ((0, 1) if i == 0 else (0,)))
+    return seq[:n]
+
+
+def _thue_morse(n):
+    seq = (0,)
+    while len(seq) < n:
+        seq += tuple(1 - i for i in seq)
+    return seq[:n]
+
+
+# Two letters of one, two and four bytes; each wide pair shares all bytes
+# but one, so zero runs of the shifted XOR start and end inside letters.
+PRUNE_POOLS = [(0, 1, 2), (256, 257, 258), (65536, 65792, 65537)]
+WIDE = InverseAlphabet([f"x{i}" for i in range(32897)])
+PRUNE_WORDS = [
+    *[(0, 0, 1) * k + (0,) * 5 for k in (1, 7, 40)],
+    (0,) * 5 + (0, 0, 1) * 40,
+    (0, 1, 0, 1, 1) * 30 + (0, 1) * 4 + (0, 1, 0, 1, 1) * 3,
+    (0, 1, 2, 0, 1, 2, 1) * 20 + (0, 1, 2) * 3 + (0, 1, 2, 0) * 2,
+    tuple(x for m in range(1, 9) for x in (0,) * m + (1,)),
+    tuple(x for m in (3, 2, 6, 4, 6, 5) for x in (0,) * m + (1,)),
+    _fibonacci(300),
+    _fibonacci(233) + (2,) + (0, 1, 0) * 4,
+    _thue_morse(256),
+    _thue_morse(128) + (0, 1, 1) * 3 + _thue_morse(64),
+]
+
+
 class TestPowerRuns:
     def test_run_record(self):
         run = PowerRun(start=1, period=word("ab"), exponent=2, remainder=1)
@@ -334,21 +366,38 @@ class TestPowerRuns:
         assert _runs(seq, 2) == [(0, 2, 240)]
 
     def test_records_equal_checked_records(self):
-        # find_power_runs builds its records unchecked; the public
-        # constructor, with its check, must give equal ones
+        # find_power_runs fills its records in without PowerRun's check; the
+        # public constructor, with its check, must give equal ones
         rng = random.Random(7)
-        words = [tuple(rng.randrange(2) for _ in range(rng.randrange(200, 400))) for _ in range(40)]
-        words.append((0, 1) * 120 + (2,))
-        alph = Alphabet("abc")
-        for seq in words:
-            w = Word.from_indices(alph, seq)
-            runs = find_power_runs(w, 2)
-            checked = [
-                PowerRun(start=k, period=w[k : k + p], exponent=n // p, remainder=n % p)
-                for k, p, n in _runs(seq, 2)
+        wide = InverseAlphabet([f"x{i}" for i in range(130)])
+        # random words over all letters of each pool but the last, which
+        # ends a long square; no letter of a group pool meets its inverse
+        for alph, cls, pool in [
+            (Alphabet("abc"), Word, (0, 1, 2)),
+            (wide, GroupWord, (0, 2, 4)),
+            (wide, GroupWord, (0, 256, 258, 2)),  # two bytes per letter
+        ]:
+            words = [
+                tuple(rng.choice(pool[:-1]) for _ in range(rng.randrange(200, 400)))
+                for _ in range(40)
             ]
-            assert runs == checked and [hash(r) for r in runs] == [hash(r) for r in checked]
-            assert [repr(r) for r in runs] == [repr(r) for r in checked]
+            words.append(pool[:2] * 120 + pool[-1:])
+            for seq in words:
+                w = cls.from_indices(alph, seq)
+                runs = find_power_runs(w, 2)
+                checked = [
+                    PowerRun(start=k, period=w[k : k + p], exponent=n // p, remainder=n % p)
+                    for k, p, n in _runs(seq, 2)
+                ]
+                assert runs == checked
+                assert [hash(r) for r in runs] == [hash(r) for r in checked]
+                assert [repr(r) for r in runs] == [repr(r) for r in checked]
+                for r in runs:
+                    assert type(r.period) is Word and r.period.alphabet is alph
+                    with pytest.raises(AttributeError):
+                        r.exponent = 1
+                    with pytest.raises(AttributeError):
+                        r.period = w
 
     def test_wide_alphabet_against_bruteforce(self):
         # 260 letter indices take two bytes each, indices past 65535 four.
@@ -419,6 +468,26 @@ class TestPowerRuns:
                     expect = [r for r in squares if r[2] >= m]
                     assert runs_as_tuples(find_power_runs(w, m)) == expect, (p, exponent, m)
                 assert max_power_index(w) == power_index_bruteforce(seq), (p, exponent)
+
+    @pytest.mark.parametrize("pool", PRUNE_POOLS)
+    def test_index_skips_blocks_that_do_not_beat_it(self, pool):
+        # max_power_index raises its needle as soon as a block raises the
+        # index; here many short equality blocks come before the longest
+        # one at the same period, or after it, and the index rises in steps
+        for seq in PRUNE_WORDS:
+            seq = tuple(pool[i] for i in seq)
+            w = Word.from_indices(WIDE, seq)
+            assert max_power_index(w) == power_index_bruteforce(seq), seq
+
+    @given(
+        st.sampled_from(PRUNE_POOLS).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_index_is_the_largest_run_exponent(self, seq):
+        w = Word.from_indices(WIDE, seq)
+        assert max_power_index(w) == max((r.exponent for r in find_power_runs(w, 2)), default=1)
 
     def test_long_word_against_bruteforce(self):
         rng = random.Random(11)
