@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from ._records import frozen
 from .limits import check_letters
@@ -79,9 +79,6 @@ class BasisMap(_LetterMap):
         return GroupWord._trusted(self._alphabet, _tighten([table[i] for i in word.indices]))
 
     __call__ = apply
-
-    def is_identity(self) -> bool:
-        return all(self._table[i] == (i,) for i in range(len(self._alphabet.letters)))
 
     def power(self, p: int) -> "BasisMap":
         """p-fold composition with itself, by repeated squaring."""
@@ -150,22 +147,37 @@ class AbelianizationMatrix:
 
 def abelianization(f: BasisMap) -> AbelianizationMatrix:
     """Image of the map in the integer matrix group, computed exactly."""
-    alph = f.alphabet
-    r = alph.rank
-    cols = []
-    for p in range(r):
-        counts = [0] * r
-        for i in f.letter_image(2 * p):
-            counts[i >> 1] += 1 if (i & 1) == 0 else -1
-        cols.append(counts)
-    rows = tuple(zip(*cols))
-    det = int_determinant(rows)
-    if abs(det) != 1:
+    r = f.alphabet.rank
+    m = _signed_counts(f._table, [(2 * p,) for p in range(r)], range(r))
+    if abs(m.det) != 1:
         warnings.warn(
-            f"abelianized determinant is {det}, so this map is not invertible",
+            f"abelianized determinant is {m.det}, so this map is not invertible",
             stacklevel=2,
         )
-    return AbelianizationMatrix(rows=rows, det=det)
+    return m
+
+
+def _signed_counts(
+    table: Sequence[Sequence[int]], loops: Iterable[Sequence[int]], basis: Iterable[int]
+) -> AbelianizationMatrix:
+    """Entry (i, j): exponent sum of pair ``basis[i]`` in the images of the letters of ``loops[j]``.
+
+    :func:`abelianization` takes one-letter loops and every pair,
+    ``StratifiedGraphMap.h1_matrix`` tree cycles and the pairs off the
+    tree.  No loops give no rows, with determinant 1.
+    """
+    where = {q: n for n, q in enumerate(basis)}
+    cols = []
+    for loop in loops:
+        counts = [0] * len(where)
+        for i in loop:
+            for j in table[i]:
+                n = where.get(j >> 1)
+                if n is not None:
+                    counts[n] += -1 if j & 1 else 1
+        cols.append(counts)
+    rows = tuple(zip(*cols))
+    return AbelianizationMatrix(rows=rows, det=int_determinant(rows) if rows else 1)
 
 
 class Growth(enum.Enum):

@@ -269,12 +269,10 @@ def common_descendant_search(
     if w1.indices in sides[1]:
         return joined(w1)
 
-    exhausted = [False, False]
     while True:
         progressed = False
         for s in (0, 1):
-            if exhausted[s] or depths[s] >= budget.max_depth or not frontiers[s]:
-                exhausted[s] = exhausted[s] or not frontiers[s]
+            if depths[s] >= budget.max_depth or not frontiers[s]:
                 continue
             here, other = sides[s], sides[1 - s]
             new_frontier: list[GroupWord] = []
@@ -297,13 +295,11 @@ def common_descendant_search(
             frontiers[s] = new_frontier
             depths[s] += 1
             progressed = True
-            if not new_frontier:
-                exhausted[s] = True
         if not progressed:
             return Undecided(
                 explored=(len(sides[0]), len(sides[1])),
                 depth_reached=tuple(depths),
-                frontier_exhausted=all(exhausted),
+                frontier_exhausted=not (frontiers[0] or frontiers[1]),
             )
 
 
@@ -404,12 +400,6 @@ class CosetTable:
             coset = parents[coset]
         out.reverse()
         return out
-
-    def rep_words(self) -> tuple[GroupWord, ...]:
-        """Shortest (then letter-order first) word reaching each coset from 0."""
-        return tuple(
-            GroupWord.from_indices(self._alphabet, self.rep_letters(c)) for c in range(self.size)
-        )
 
     def to_csv(self) -> str:
         header = "coset," + ",".join(self._alphabet.letters)

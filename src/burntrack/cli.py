@@ -114,33 +114,16 @@ class _CliError(Exception):
 
 
 class SessionFile:
-    """Named objects defined by one session file, in definition order."""
+    """Named objects of one session file: ``objects`` maps name -> (kind, object), in definition order."""
 
     def __init__(self) -> None:
-        self.alphabets: dict[str, Alphabet] = {}
-        self.substitutions: dict[str, Substitution] = {}
-        self.basis_maps: dict[str, BasisMap] = {}
-        self.graph_maps: dict[str, StratifiedGraphMap] = {}
-        self.order: list[tuple[str, str]] = []
-
-    def names(self) -> set[str]:
-        return (
-            set(self.alphabets)
-            | set(self.substitutions)
-            | set(self.basis_maps)
-            | set(self.graph_maps)
-        )
+        self.objects: dict[str, tuple[str, object]] = {}
 
     def lookup(self, name: str):
-        for kind, table in (
-            ("alphabet", self.alphabets),
-            ("subst", self.substitutions),
-            ("autom", self.basis_maps),
-            ("graphmap", self.graph_maps),
-        ):
-            if name in table:
-                return kind, table[name]
-        raise SessionError(f"no object named {name!r} in the session")
+        try:
+            return self.objects[name]
+        except KeyError:
+            raise SessionError(f"no object named {name!r} in the session") from None
 
 
 def _fail(path: str, lineno: int, message: str, line: str = "", token: str = "") -> SessionError:
@@ -191,13 +174,33 @@ def _parse_image_line(path, lineno, line, alphabet, warn_reduce):
     return name, word
 
 
+def _load(path: str, lineno: int, line: str, make):
+    """``make()``; its ValueError fails at the block's line, and each warning prints there."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            obj = make()
+    except ValueError as err:
+        raise _fail(path, lineno, str(err), line) from None
+    for w in caught:
+        print(f"{path}:{lineno}: warning: {w.message}", file=sys.stderr)
+    return obj
+
+
+def _checked_autom(alphabet: InverseAlphabet, images) -> BasisMap:
+    f = BasisMap(alphabet, images)
+    abelianization(f)  # warns when the determinant is not +-1
+    return f
+
+
 def parse_session(path: str) -> SessionFile:
     """Parse a session file; the first problem raises with its location."""
     lines = _numbered_lines(path)
     session = SessionFile()
+    objects = session.objects
 
     def check_fresh(name: str, lineno: int, line: str) -> None:
-        if name in session.names():
+        if name in objects:
             raise _fail(path, lineno, f"duplicate name {name!r}", line, name)
 
     for lineno, line in lines:
@@ -209,12 +212,8 @@ def parse_session(path: str) -> SessionFile:
                 raise _fail(path, lineno, "expected 'alphabet <name> inverse|plain <letters...>'", line)
             name = tokens[1]
             check_fresh(name, lineno, line)
-            try:
-                cls = InverseAlphabet if tokens[2] == "inverse" else Alphabet
-                session.alphabets[name] = cls(tokens[3:])
-            except ValueError as err:
-                raise _fail(path, lineno, str(err), line) from None
-            session.order.append(("alphabet", name))
+            cls = InverseAlphabet if tokens[2] == "inverse" else Alphabet
+            objects[name] = head, _load(path, lineno, line, lambda: cls(tokens[3:]))
             continue
 
         if head in ("subst", "autom"):
@@ -222,9 +221,9 @@ def parse_session(path: str) -> SessionFile:
                 raise _fail(path, lineno, f"expected '{head} <name> over <alphabet>'", line)
             name, alph_name = tokens[1], tokens[3]
             check_fresh(name, lineno, line)
-            if alph_name not in session.alphabets:
+            kind, alphabet = objects.get(alph_name, (None, None))
+            if kind != "alphabet":
                 raise _fail(path, lineno, f"undefined alphabet {alph_name!r}", line, alph_name)
-            alphabet = session.alphabets[alph_name]
             if head == "autom" and not alphabet.has_inverses:
                 raise _fail(path, lineno, "autom needs an inverse alphabet", line)
             images: dict[str, Word] = {}
@@ -235,14 +234,8 @@ def parse_session(path: str) -> SessionFile:
                 if key in images:
                     raise _fail(path, body_no, f"duplicate image for {key!r}", body, key)
                 images[key] = word
-            try:
-                if head == "subst":
-                    session.substitutions[name] = Substitution(alphabet, images)
-                else:
-                    session.basis_maps[name] = BasisMap(alphabet, images)
-            except ValueError as err:
-                raise _fail(path, lineno, str(err), line) from None
-            session.order.append((head, name))
+            make = Substitution if head == "subst" else _checked_autom
+            objects[name] = head, _load(path, lineno, line, lambda: make(alphabet, images))
             continue
 
         if head == "graphmap":
@@ -278,16 +271,9 @@ def parse_session(path: str) -> SessionFile:
                     emap[parts[1]] = " ".join(parts[3:])
                 else:
                     raise _fail(path, body_no, f"unexpected directive {parts[0]!r} in graphmap block", body, parts[0])
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    graph = Graph(vertices, edges)
-                    session.graph_maps[name] = StratifiedGraphMap(graph, vmap, emap)
-            except ValueError as err:
-                raise _fail(path, lineno, str(err), line) from None
-            for w in caught:
-                print(f"{path}:{lineno}: warning: {w.message}", file=sys.stderr)
-            session.order.append(("graphmap", name))
+            objects[name] = head, _load(
+                path, lineno, line, lambda: StratifiedGraphMap(Graph(vertices, edges), vmap, emap)
+            )
             continue
 
         raise _fail(path, lineno, f"unexpected directive {head!r}", line, head)
@@ -298,36 +284,34 @@ def parse_session(path: str) -> SessionFile:
 def dump_session(session: SessionFile) -> str:
     """Canonical text for a session; parsing it back gives equal objects."""
     chunks: list[str] = []
-    alphabet_names = {id(a): n for n, a in session.alphabets.items()}
-    for kind, name in session.order:
+    alphabets = {n: a for n, (kind, a) in session.objects.items() if kind == "alphabet"}
+    alphabet_names = {id(a): n for n, a in alphabets.items()}
+    for name, (kind, obj) in session.objects.items():
         if kind == "alphabet":
-            a = session.alphabets[name]
-            which = "inverse" if a.has_inverses else "plain"
-            chunks.append(f"alphabet {name} {which} " + " ".join(a.positive_letters))
+            which = "inverse" if obj.has_inverses else "plain"
+            chunks.append(f"alphabet {name} {which} " + " ".join(obj.positive_letters))
         elif kind in ("subst", "autom"):
-            obj = session.substitutions[name] if kind == "subst" else session.basis_maps[name]
             alph = obj.alphabet
             aname = alphabet_names.get(id(alph))
             if aname is None:
                 # parsed sessions always share instances; fall back by value
-                aname = next(n for n, a in session.alphabets.items() if a == alph)
+                aname = next(n for n, a in alphabets.items() if a == alph)
             lines = [f"{kind} {name} over {aname}"]
             for x in alph.positive_letters:
                 lines.append(f"  {x} -> {obj.image(x)}")
             lines.append("end")
             chunks.append("\n".join(lines))
         else:
-            f = session.graph_maps[name]
-            g = f.graph
+            g = obj.graph
             lines = [f"graphmap {name}"]
             lines.append("  vertices: " + " ".join(g.vertices))
             for p, e in enumerate(g.positive_edges):
                 i = 2 * p
                 lines.append(f"  edge {e} {g.origin(i)} {g.terminus(i)} height {g.height(i)}")
             for v in g.vertices:
-                lines.append(f"  vmap {v} -> {f.vertex_image(v)}")
+                lines.append(f"  vmap {v} -> {obj.vertex_image(v)}")
             for e in g.positive_edges:
-                lines.append(f"  map {e} -> {f.edge_image(e).word}")
+                lines.append(f"  map {e} -> {obj.edge_image(e).word}")
             lines.append("end")
             chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
@@ -480,9 +464,12 @@ def _iterates(args):
 def _cmd_classify(args):
     kind, obj = _lookup(args, ("autom", "graphmap"), "an autom or a graphmap")
     if kind == "autom":
-        det = abelianization(obj).det
-        if obj.alphabet.rank == 2:
-            verdict, method, payload = growth_rank2(obj), "trace criterion", {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # parse_session reported a bad determinant
+            det = abelianization(obj).det
+            rank2 = growth_rank2(obj) if obj.alphabet.rank == 2 else None
+        if rank2 is not None:
+            verdict, method, payload = rank2, "trace criterion", {}
             lines = [f"growth {verdict} ({method})"]
         elif certifies_polynomial_growth(obj):
             verdict, method, payload = Growth.POLYNOMIAL, "letter-count blocks", {}

@@ -15,6 +15,10 @@ tight nontrivial path while never raising height.  On that foundation:
 - :func:`yellow_loop_audit` looks for low-height subpaths that close up;
 - :func:`pf_length` weighs paths by the top Perron eigenvector.
 
+A graph builds one spanning tree, cached like its red tables:
+``Graph.is_connected`` asks whether it reaches every vertex, and
+``StratifiedGraphMap.h1_matrix`` takes its cycle basis from it.
+
 Maps are immutable after validation; analysis results are cached on the
 instance but every public function is pure in its outputs.
 """
@@ -23,14 +27,14 @@ from __future__ import annotations
 
 import enum
 import warnings
-from typing import Iterable, Mapping, NamedTuple
+from itertools import groupby
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ._records import frozen
-from .automorphisms import AbelianizationMatrix, Growth
+from .automorphisms import AbelianizationMatrix, Growth, _signed_counts
 from .matrices import (
     NonnegIntMatrix,
     _pair_count_matrix,
-    int_determinant,
     is_irreducible,
     is_primitive,
     is_transitive_permutation,
@@ -86,7 +90,7 @@ class Graph:
     ladder of subgraphs.
     """
 
-    __slots__ = ("_vertices", "_vset", "_alphabet", "_origin", "_heights", "_red")
+    __slots__ = ("_vertices", "_vset", "_alphabet", "_origin", "_heights", "_red", "_tree")
 
     def __init__(
         self,
@@ -121,6 +125,7 @@ class Graph:
         self._origin = tuple(origin)
         self._heights = tuple(heights)
         self._red: dict[int, _RedTable] = {}
+        self._tree: dict[str, tuple[int, str]] | None = None
 
     @classmethod
     def rose(cls, edges: Iterable[str], heights: Mapping[str, int] | None = None) -> "Graph":
@@ -185,18 +190,31 @@ class Graph:
             got = self._red.setdefault(k, _RedTable(red, index, translate, delete))
         return got
 
-    def is_connected(self) -> bool:
-        seen = {self._vertices[0]}
-        frontier = [self._vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for i in range(len(self._origin)):
-                if self._origin[i] == v:
-                    w = self._origin[i ^ 1]
-                    if w not in seen:
-                        seen.add(w)
+    def _spanning_tree(self) -> dict[str, tuple[int, str]]:
+        """Vertex -> (oriented edge into it, parent), for each vertex the tree reaches.
+
+        Built once, by a stack from the first vertex (the root, with no entry)
+        over outgoing letters in index order.  That order fixes the cycle
+        basis of :meth:`StratifiedGraphMap.h1_matrix`, so its determinant's sign.
+        """
+        tree = self._tree
+        if tree is None:
+            origin = self._origin
+            root = self._vertices[0]
+            tree = {}
+            frontier = [root]
+            while frontier:
+                v = frontier.pop()
+                for i, o in enumerate(origin):
+                    w = origin[i ^ 1]
+                    if o == v and w != root and w not in tree:
+                        tree[w] = (i, v)
                         frontier.append(w)
-        return len(seen) == len(self._vertices)
+            self._tree = tree
+        return tree
+
+    def is_connected(self) -> bool:
+        return len(self._spanning_tree()) == len(self._vertices) - 1
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -463,53 +481,27 @@ class StratifiedGraphMap(_LetterMap):
         return self._df[i]
 
     def h1_matrix(self) -> AbelianizationMatrix:
-        """Action on cycles, in the basis of edges outside a spanning tree."""
+        """Action on cycles, in the basis of edges outside the graph's spanning tree."""
         g = self._graph
-        tree_parent: dict[str, tuple[int, str]] = {}  # vertex -> (edge into it, parent)
-        root = g.vertices[0]
-        seen = {root}
-        frontier = [root]
-        n_oriented = len(g.edge_alphabet.letters)
-        tree_edges: set[int] = set()
-        while frontier:
-            v = frontier.pop()
-            for i in range(n_oriented):
-                if g.origin(i) == v:
-                    w = g.terminus(i)
-                    if w not in seen:
-                        seen.add(w)
-                        tree_parent[w] = (i, v)
-                        tree_edges.add(i >> 1)
-                        frontier.append(w)
-        if len(seen) != len(g.vertices):
+        if not g.is_connected():
             raise ValueError("h1_matrix needs a connected graph")
+        tree = g._spanning_tree()
+        root = g.vertices[0]
 
         def to_root(v: str) -> list[int]:
             out = []
             while v != root:
-                i, v = tree_parent[v]
+                i, v = tree[v]
                 out.append(i ^ 1)  # walk against the tree edge
             return out
 
         def tree_path(u: str, v: str) -> list[int]:
-            up = to_root(u)
-            down = [i ^ 1 for i in reversed(to_root(v))]
-            return up + down
+            return to_root(u) + [i ^ 1 for i in reversed(to_root(v))]
 
-        basis = [p for p in range(n_oriented // 2) if p not in tree_edges]
-        cols = []
-        for p in basis:
-            loop = [2 * p] + tree_path(g.terminus(2 * p), g.origin(2 * p))
-            counts = dict.fromkeys(basis, 0)
-            for i in loop:
-                for j in self._table[i]:
-                    q = j >> 1
-                    if q in counts:
-                        counts[q] += -1 if (j & 1) else 1
-            cols.append([counts[q] for q in basis])
-        rows = tuple(zip(*cols)) if cols else ()
-        det = int_determinant(rows) if rows else 1
-        return AbelianizationMatrix(rows=rows, det=det)
+        tree_edges = {i >> 1 for i, _ in tree.values()}
+        basis = [p for p in range(len(g.positive_edges)) if p not in tree_edges]
+        loops = [[2 * p] + tree_path(g.terminus(2 * p), g.origin(2 * p)) for p in basis]
+        return _signed_counts(self._table, loops, basis)
 
     def apply_raw(self, path: EdgePath) -> list[int]:
         """Letterwise image with tightening, as raw oriented indices."""
@@ -844,6 +836,15 @@ def check_rtt(f: StratifiedGraphMap, depth: int = 3) -> RTTReport:
     )
 
 
+def _colour_runs(g: Graph, path: EdgePath, k: int) -> Iterator[tuple[bool, int, int]]:
+    """(height is k, start, stop) of each maximal run of height-k or other letters."""
+    n = 0
+    for red, run in groupby(path.indices, lambda i: g.height(i) == k):
+        m = n + len(list(run))
+        yield red, n, m
+        n = m
+
+
 def yellow_red_split(
     f: StratifiedGraphMap, path: EdgePath, k: int | None = None
 ) -> list[tuple[str, EdgePath]]:
@@ -859,17 +860,7 @@ def yellow_red_split(
         k = g.max_height
     if not path_is_k_legal(f, path, k):
         raise ValueError(f"path is not {k}-legal; the split is only defined for legal paths")
-    pieces: list[tuple[str, EdgePath]] = []
-    seq = path.indices
-    n = 0
-    while n < len(seq):
-        color = "red" if g.height(seq[n]) == k else "yellow"
-        m = n + 1
-        while m < len(seq) and ("red" if g.height(seq[m]) == k else "yellow") == color:
-            m += 1
-        pieces.append((color, path[n:m]))
-        n = m
-    return pieces
+    return [("red" if red else "yellow", path[n:m]) for red, n, m in _colour_runs(g, path, k)]
 
 
 def red_alphabet(graph: Graph, k: int | None = None) -> InverseAlphabet:
@@ -991,18 +982,10 @@ def yellow_loop_audit(f: StratifiedGraphMap, edge: str, depth: int) -> AuditRepo
     for p in range(1, depth + 1):
         if p > 1:
             path = f_sharp(f, path)
-        seq = path.indices
-        n = 0
-        while n < len(seq):
-            if g.height(seq[n]) == k:
-                n += 1
-                continue
-            m = n
-            while m < len(seq) and g.height(seq[m]) < k:
-                m += 1
-            sub = path[n:m]
-            pieces.append(YellowPiece(power=p, path=sub, is_loop=sub.is_loop))
-            n = m
+        for red, n, m in _colour_runs(g, path, k):
+            if not red:
+                sub = path[n:m]
+                pieces.append(YellowPiece(power=p, path=sub, is_loop=sub.is_loop))
     return AuditReport(
         edge=edge,
         depth=depth,

@@ -72,9 +72,6 @@ class NonnegIntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
 
-    def column_sum(self, j: int) -> int:
-        return sum(row[j] for row in self._rows)
-
     def trace(self) -> int:
         return sum(self._rows[i][i] for i in range(self.size))
 

@@ -115,17 +115,18 @@ class Alphabet:
     has_inverses = False
 
     def __init__(self, letters: Iterable[str]):
-        if isinstance(letters, str):
-            letters = tuple(letters)
-        lst = tuple(_check_letter_name(x) for x in letters)
-        if not lst:
+        self._build(tuple(map(_check_letter_name, letters)))
+
+    def _build(self, letters: tuple[str, ...]) -> None:
+        """Set the letters and their index from names already checked."""
+        if not letters:
             raise ValueError("an alphabet needs at least one letter")
         index: dict[str, int] = {}
-        for i, name in enumerate(lst):
+        for i, name in enumerate(letters):
             if name in index:
                 raise ValueError(f"duplicate letter {name!r}")
             index[name] = i
-        self._letters = lst
+        self._letters = letters
         self._index = index
 
     @property
@@ -151,9 +152,6 @@ class Alphabet:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown letter {name!r} for {self!r}") from None
-
-    def name(self, i: int) -> str:
-        return self._letters[i]
 
     # Token <-> index translation used by the word syntax.  A plain alphabet
     # accepts exact letter names only.
@@ -192,23 +190,9 @@ class InverseAlphabet(Alphabet):
     has_inverses = True
 
     def __init__(self, positive: Iterable[str]):
-        if isinstance(positive, str):
-            positive = tuple(positive)
-        pos = tuple(_check_letter_name(x) for x in positive)
-        interleaved: list[str] = []
-        for name in pos:
-            interleaved.append(name)
-            interleaved.append(name + _INV_SUFFIX)
-        # Alphabet.__init__ rejects '^' in names, so build the tables by hand.
-        if not pos:
-            raise ValueError("an alphabet needs at least one letter")
-        index: dict[str, int] = {}
-        for i, name in enumerate(interleaved):
-            if name in index:
-                raise ValueError(f"duplicate letter {name!r}")
-            index[name] = i
-        self._letters = tuple(interleaved)
-        self._index = index
+        pos = tuple(map(_check_letter_name, positive))
+        # the inverse names carry '^', which the name check rejects
+        self._build(tuple(chain.from_iterable((x, x + _INV_SUFFIX) for x in pos)))
         self._positive = pos
 
     @property
@@ -218,16 +202,6 @@ class InverseAlphabet(Alphabet):
     @property
     def rank(self) -> int:
         return len(self._positive)
-
-    def inv(self, i: int) -> int:
-        return i ^ 1
-
-    def is_positive(self, i: int) -> bool:
-        return (i & 1) == 0
-
-    def positive_index(self, i: int) -> int:
-        """Index of the positive representative of letter i among positives."""
-        return i >> 1
 
     def parse_token(self, tok: str) -> int:
         got = self._index.get(tok)
@@ -723,10 +697,6 @@ class PowerRun:
         """End of the integer-power part consumed by moves."""
         return self.start + self.exponent * len(self.period)
 
-    @property
-    def stretch_end(self) -> int:
-        return self.start + self.exponent * len(self.period) + self.remainder
-
 
 def find_power_runs(word: Word, min_exponent: int) -> list[PowerRun]:
     """All maximal runs u^m with u primitive and integer exponent m >= min_exponent.
@@ -747,7 +717,7 @@ def find_power_runs(word: Word, min_exponent: int) -> list[PowerRun]:
         period = new(Word)
         period._alphabet, period._seq = alphabet, seq[k : k + p]
         run = new(PowerRun)
-        fields = run.__dict__  # key by key, as the _records docstring says
+        fields = run.__dict__  # key by key in field order, as the constructor fills them
         fields["start"], fields["period"] = k, period
         fields["exponent"], fields["remainder"] = length // p, length % p
         runs.append(run)

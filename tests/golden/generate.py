@@ -8,9 +8,14 @@ the working directory, and every path in them is relative to it, so the
 corpus does not depend on where the checkout is.  ``tc`` progress lines
 depend on time; no case allocates enough cosets to print one.
 
-A golden diff is a deliberate change of CLI output.  Regenerate only for
-such a change, and name it in CHANGES.md::
+A golden diff is a deliberate change of CLI output.  ``--check`` runs
+every case in memory, writes nothing, prints each case that differs from
+``cases.json`` (its argv and cap, and which of exit, stdout and stderr
+differ, or that it is new or gone) and exits 1 if any does.  Run it
+first, then regenerate only for a deliberate change, and name it in
+CHANGES.md::
 
+    PYTHONPATH=src python tests/golden/generate.py --check
     PYTHONPATH=src python tests/golden/generate.py
 """
 
@@ -65,15 +70,14 @@ def _object_cases(session: str, formats: tuple[tuple[str, ...], ...]) -> list[li
     with contextlib.redirect_stderr(io.StringIO()):
         s = parse_session(str(ROOT / session))
     cases = []
-    for kind, name in s.order:
+    for name, (kind, obj) in s.objects.items():
         if kind == "alphabet":
             seed, letter, rank = "a", "a", 2
         elif kind == "graphmap":
-            edges = s.graph_maps[name].graph.positive_edges
+            edges = obj.graph.positive_edges
             seed, letter, rank = edges[-1], edges[0], 2
         else:
-            alph = (s.substitutions.get(name) or s.basis_maps[name]).alphabet
-            letters = alph.positive_letters
+            letters = obj.alphabet.positive_letters
             seed, letter, rank = letters[-1], letters[0], len(letters)
         for query in (
             ["classify", name],
@@ -163,6 +167,8 @@ def _input_cases() -> list[list[str]]:
             cases.append(["-s", f"{INPUTS}/{name}", "dump"])
     cases.append(["-s", f"{INPUTS}/comments.bt", "orbit", "rose", "a", "--depth", "3"])
     cases.append(["-s", f"{INPUTS}/comments.bt", "classify", "rose"])
+    cases.append(["-s", f"{INPUTS}/singular.bt", "classify", "dbl"])
+    cases.append(["-s", f"{INPUTS}/singular.bt", "--json", "classify", "dbl"])
     return cases
 
 
@@ -175,7 +181,30 @@ def generate() -> list[dict]:
     return [run_case(argv, cap) for argv in all_cases() for cap in CAPS]
 
 
+def check() -> int:
+    """Print each case whose run differs from ``cases.json``; 1 if any does."""
+    def by_run(cases):
+        return {(tuple(case["argv"]), case["max_letters"]): case for case in cases}
+
+    old = by_run(json.loads(CORPUS.read_text(encoding="utf-8")))
+    new = by_run(generate())
+    diffs = 0
+    for run in {**new, **old}:
+        was, now = old.get(run), new.get(run)
+        if was is None or now is None:
+            what = "new case" if was is None else "case gone"
+        else:
+            what = ", ".join(f for f in ("exit", "stdout", "stderr") if was[f] != now[f])
+        if what:
+            diffs += 1
+            print(f"{list(run[0])} cap={run[1]}: {what}")
+    print(f"{diffs} of {len(new)} cases differ")
+    return 1 if diffs else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else CORPUS
     records = generate()
     out.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

@@ -78,7 +78,7 @@ class TestBasisMap:
 
     def test_identity(self):
         e = BasisMap.identity(FREE2)
-        assert e.is_identity() and not FIB.is_identity()
+        assert e == BasisMap(FREE2, {"a": "a", "b": "b"}) and FIB != e
         w = Word.parse(FREE2, "a b a^-1")
         assert e.apply(w) == reduce(w)
 
@@ -111,7 +111,7 @@ class TestBasisMap:
 class TestPowerCompose:
     def test_fib_orbit_via_power(self):
         assert FIB.power(7).image("b").compact() == "abaababaabaababaababa"
-        assert FIB.power(0).is_identity()
+        assert FIB.power(0) == BasisMap.identity(FREE2)
         assert FIB.power(1) == FIB
 
     def test_psi_powers_of_d(self):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -111,18 +112,19 @@ def run_process(*argv, **env):
 class TestSessionParse:
     def test_object_kinds(self, session_path):
         s = parse_session(session_path)
-        assert isinstance(s.basis_maps["fib"], BasisMap)
-        assert isinstance(s.substitutions["remark3"], Substitution)
-        assert isinstance(s.graph_maps["psi"], StratifiedGraphMap)
-        assert s.alphabets["F2"] == InverseAlphabet(["a", "b"])
-        assert str(s.basis_maps["fib"].image("a")) == "a b"
-        assert [k for k, _ in s.order][:3] == ["alphabet", "alphabet", "alphabet"]
+        kinds = {name: kind for name, (kind, _) in s.objects.items()}
+        assert isinstance(s.objects["fib"][1], BasisMap) and kinds["fib"] == "autom"
+        assert isinstance(s.objects["remark3"][1], Substitution) and kinds["remark3"] == "subst"
+        assert isinstance(s.objects["psi"][1], StratifiedGraphMap) and kinds["psi"] == "graphmap"
+        assert s.objects["F2"] == ("alphabet", InverseAlphabet(["a", "b"]))
+        assert str(s.objects["fib"][1].image("a")) == "a b"
+        assert list(kinds.values())[:3] == ["alphabet", "alphabet", "alphabet"]
 
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "c.bt"
         p.write_text("# header\n\nalphabet A plain x y  # trailing\n")
         s = parse_session(str(p))
-        assert s.alphabets["A"].letters == ("x", "y")
+        assert s.objects["A"][1].letters == ("x", "y")
 
     def test_inv_tokens_in_map_lines(self, tmp_path):
         p = tmp_path / "g.bt"
@@ -136,7 +138,7 @@ class TestSessionParse:
             "  map f -> f e inv(f)\n"
             "end\n"
         )
-        f = parse_session(str(p)).graph_maps["m"]
+        f = parse_session(str(p)).objects["m"][1]
         assert f.edge_image("f").word.compact() == "feF"
 
     def test_duplicate_name(self, tmp_path):
@@ -201,7 +203,17 @@ class TestSessionParse:
         s = parse_session(str(p))
         err = capsys.readouterr().err
         assert "w.bt:3" in err and "reduced on load" in err
-        assert str(s.basis_maps["f"].image("a")) == "a"
+        assert str(s.objects["f"][1].image("a")) == "a"
+
+    def test_autom_determinant_warning_carries_location(self, tmp_path, capsys):
+        p = tmp_path / "n.bt"
+        p.write_text("alphabet A inverse a b\nautom dbl over A\n  a -> a a\n  b -> b\nend\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["-s", str(p), "classify", "dbl"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "abelianized determinant 2\ngrowth exponential (trace criterion)\n"
+        assert err == f"{p}:2: warning: abelianized determinant is 2, so this map is not invertible\n"
 
     def test_graphmap_warning_carries_location(self, tmp_path, capsys):
         p = tmp_path / "h.bt"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burntrack.automorphisms import Growth
+from burntrack.automorphisms import BasisMap, Growth, abelianization
 from burntrack.graphmap import (
     AuditReport,
     EdgePath,
@@ -28,7 +28,7 @@ from burntrack.graphmap import (
     yellow_red_split,
 )
 from burntrack.limits import GrowthCapExceeded
-from burntrack.words import InverseAlphabet, Word
+from burntrack.words import InverseAlphabet, Word, reduce
 
 
 def psi_rose():
@@ -266,6 +266,25 @@ class TestMapConstruction:
         h1 = f.h1_matrix()
         assert h1.rows == ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 2, 1), (0, 0, 1, 0))
         assert h1.det == -1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([InverseAlphabet("ab"), InverseAlphabet("abc")]).flatmap(
+        lambda alph: st.tuples(st.just(alph), st.lists(
+            st.lists(st.integers(0, len(alph.letters) - 1), max_size=8)
+            .map(lambda seq: reduce(Word.from_indices(alph, seq)))
+            .filter(len),
+            min_size=alph.rank, max_size=alph.rank,
+        ))
+    ))
+    def test_h1_on_rose_equals_abelianization(self, case):
+        alph, images = case
+        named = dict(zip(alph.positive_letters, images))
+        g = Graph.rose(alph.positive_letters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            h1 = StratifiedGraphMap(g, {"*": "*"}, {x: EdgePath(g, w) for x, w in named.items()}).h1_matrix()
+            ab = abelianization(BasisMap(alph, named))
+        assert h1.rows == ab.rows and h1.det == ab.det
 
     def test_h1_through_spanning_tree(self):
         _, f = cover2()
