@@ -85,12 +85,7 @@ from .graphmap import (
     red_projection,
     yellow_loop_audit,
 )
-from .matrices import (
-    is_irreducible,
-    is_primitive,
-    pf_eigenvalue,
-    pf_eigenvalue_via_shift,
-)
+from .matrices import _perron, is_irreducible
 from .substitutions import (
     Periodic,
     Substitution,
@@ -546,7 +541,7 @@ def _pf_data(obj):
     matrix = obj.transition_matrix()
     if not is_irreducible(matrix):
         raise _CliError("transition matrix is reducible; no leading eigenvalue")
-    pf = pf_eigenvalue(matrix) if is_primitive(matrix) else pf_eigenvalue_via_shift(matrix)
+    pf = _perron(matrix)
     return pf.eigenvalue, pf.eigenvector, pf.residual, list(obj.alphabet.positive_letters)
 
 

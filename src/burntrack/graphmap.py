@@ -17,7 +17,9 @@ tight nontrivial path while never raising height.  On that foundation:
 
 A graph builds one spanning tree, cached like its red tables:
 ``Graph.is_connected`` asks whether it reaches every vertex, and
-``StratifiedGraphMap.h1_matrix`` takes its cycle basis from it.
+``StratifiedGraphMap.h1_matrix`` takes its cycle basis from it.  A map
+builds one stable power of its edge derivative Df, and a turn is illegal
+exactly when that table sends its two edges to one.
 
 Maps are immutable after validation; analysis results are cached on the
 instance but every public function is pure in its outputs.
@@ -35,11 +37,10 @@ from .automorphisms import AbelianizationMatrix, Growth, _signed_counts
 from .matrices import (
     NonnegIntMatrix,
     _pair_count_matrix,
+    _perron,
     is_irreducible,
     is_primitive,
     is_transitive_permutation,
-    pf_eigenvalue,
-    pf_eigenvalue_via_shift,
 )
 from .substitutions import Substitution
 from .words import InverseAlphabet, Word, _image_length, _join_images, _LetterMap, _tighten, flip
@@ -397,7 +398,7 @@ class StratifiedGraphMap(_LetterMap):
     equality is identity.
     """
 
-    __slots__ = ("_graph", "_vmap", "_codes", "_df", "_legal_cache", "_strata_cache")
+    __slots__ = ("_graph", "_vmap", "_codes", "_df", "_df_stable", "_strata_cache")
 
     _keys = "positive edge names"
     __eq__ = object.__eq__
@@ -422,7 +423,11 @@ class StratifiedGraphMap(_LetterMap):
         # byte images for _join_images, which needs every index below 256
         self._codes = tuple(map(bytes, table)) if len(table) <= 256 else None
         self._df = tuple(img[0] for img in table)
-        self._legal_cache: dict[tuple[int, int], bool] = {}
+        # Df^(2^b) with 2^b above the number of oriented edges, by b squarings
+        stable = self._df
+        for _ in range(len(stable).bit_length()):
+            stable = tuple(stable[i] for i in stable)
+        self._df_stable = stable
         self._strata_cache: tuple[StratumReport, ...] | None = None
 
         if graph.is_connected():
@@ -514,33 +519,15 @@ class StratifiedGraphMap(_LetterMap):
         return _image_length(self._table, path.indices)
 
     def turn_is_legal(self, e1: int, e2: int) -> bool:
-        """Iterate the edge derivative until the pair degenerates or cycles."""
+        """False when some iterate of the edge derivative sends both edges to one.
+
+        Edges that meet under Df stay together, and past as many steps as
+        there are oriented edges both lie on Df's cycles, where Df is
+        injective; so the stable power of Df decides.
+        """
         if self._graph.origin(e1) != self._graph.origin(e2):
             raise ValueError("a turn needs two edges at the same vertex")
-        a, b = (e1, e2) if e1 <= e2 else (e2, e1)
-        cache = self._legal_cache
-        df = self._df
-        seen: list[tuple[int, int]] = []
-        while True:
-            if a == b:
-                verdict = False
-                break
-            known = cache.get((a, b))
-            if known is not None:
-                verdict = known
-                break
-            seen.append((a, b))
-            if len(seen) > len(df) * len(df):
-                raise AssertionError("turn iteration failed to cycle")  # unreachable
-            a, b = df[a], df[b]
-            if a > b:
-                a, b = b, a
-            if (a, b) in seen:
-                verdict = True
-                break
-        for pair in seen:
-            cache[pair] = verdict
-        return verdict
+        return self._df_stable[e1] != self._df_stable[e2]
 
     def stratum_matrix(self, k: int) -> NonnegIntMatrix:
         """Counts of height-k edge pairs in the images of height-k edges."""
@@ -643,10 +630,7 @@ def classify_strata(f: StratifiedGraphMap) -> tuple[StratumReport, ...]:
         else:
             kind = StratumKind.EXPONENTIAL
             aperiodic = is_primitive(m)
-            # plain power iteration stalls on imprimitive matrices, so feed
-            # it I + M there; the residual reported is still the residual
-            # for M itself
-            pf = pf_eigenvalue(m) if aperiodic else pf_eigenvalue_via_shift(m)
+            pf = _perron(m)
             eigenvalue = pf.eigenvalue
             eigenvector = pf.eigenvector
             residual = pf.residual

@@ -1,18 +1,21 @@
 """Nonnegative integer matrices: irreducibility, primitivity, Perron root.
 
-Entries are exact Python integers of arbitrary size.  Structure tests
-(irreducibility, primitivity, permutation detection, permutation blocks)
-are exact decision procedures; only the Perron eigenvalue itself is numeric, computed by power
-iteration with an explicit residual.  The equality "dominant eigenvalue is
-exactly 1" is never decided in floating point: for an irreducible integer
-matrix it holds precisely when the matrix is a transitive permutation
-matrix, and that is what callers should test.
+Entries are exact Python integers of arbitrary size.  Structure tests are
+exact: one transitive closure (``_reach``) answers irreducibility,
+transitive permutations and permutation blocks, and primitivity is a
+period of 1, read from one breadth-first search.  Only the Perron
+eigenvalue is numeric, by power iteration with an explicit residual;
+``_perron`` picks plain or shifted iteration by primitivity.  The equality
+"dominant eigenvalue is exactly 1" is never decided in floating point: for
+an irreducible integer matrix it holds precisely when the matrix is a
+transitive permutation matrix, and that is what callers should test.
 
 Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 from ._records import frozen
@@ -149,6 +152,19 @@ def _pair_count_matrix(table: Sequence[Sequence[int]], pairs: Sequence[int]) -> 
     return NonnegIntMatrix(zip(*cols))
 
 
+def _reach(matrix: NonnegIntMatrix) -> list[int]:
+    """Row i as a bitmask of the indices that i reaches by a path of length >= 1.
+
+    Warshall's transitive closure of the digraph with an edge i -> j when
+    entry (i, j) is positive, on row bitmasks.
+    """
+    reach = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix.rows]
+    for k in range(len(reach)):
+        bit, through = 1 << k, reach[k]
+        reach = [bits | through if bits & bit else bits for bits in reach]
+    return reach
+
+
 def is_irreducible(matrix: NonnegIntMatrix) -> bool:
     """True when every index reaches every index by a path of length >= 1.
 
@@ -158,105 +174,43 @@ def is_irreducible(matrix: NonnegIntMatrix) -> bool:
     substitution and stratum matrices, where the zero stratum is a separate
     case).
     """
-    rows = matrix.rows
-    n = matrix.size
-    if n == 1:
-        return rows[0][0] > 0
-    fwd = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
-    bwd = [[i for i in range(n) if rows[i][j] > 0] for j in range(n)]
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == n
-
-    return reaches_all(fwd) and reaches_all(bwd)
-
-
-def _bool_rows(matrix: NonnegIntMatrix) -> list[int]:
-    # row i as a bitmask of positive columns
-    out = []
-    for row in matrix.rows:
-        bits = 0
-        for j, x in enumerate(row):
-            if x > 0:
-                bits |= 1 << j
-        out.append(bits)
-    return out
-
-
-def _bool_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = []
-    for i in range(n):
-        bits = 0
-        ai = a[i]
-        j = 0
-        while ai:
-            if ai & 1:
-                bits |= b[j]
-            ai >>= 1
-            j += 1
-        out.append(bits)
-    return out
+    full = (1 << matrix.size) - 1
+    return all(bits == full for bits in _reach(matrix))
 
 
 def is_primitive(matrix: NonnegIntMatrix) -> bool:
     """True when some power of the matrix is entrywise positive.
 
-    Decided exactly through the Wielandt bound: a primitive matrix of size
-    n has M^(n^2 - 2n + 2) entrywise positive, and once a power is positive
-    all later powers are, so testing that single exponent decides.
+    An irreducible matrix is primitive exactly when its period is 1.  With
+    levels from one breadth-first search from index 0, the period is the
+    gcd of level(i) + 1 - level(j) over the positive entries (i, j).
     """
     if not is_irreducible(matrix):
         return False
-    n = matrix.size
-    exponent = n * n - 2 * n + 2
-    full = (1 << n) - 1
-    base = _bool_rows(matrix)
-    result = [1 << i for i in range(n)]  # identity
-    e = exponent
-    while e:
-        if e & 1:
-            result = _bool_mul(result, base, n)
-        e >>= 1
-        if e:
-            base = _bool_mul(base, base, n)
-    return all(bits == full for bits in result)
+    rows = matrix.rows
+    level = [-1] * matrix.size
+    level[0] = 0
+    queue = [0]
+    for i in queue:
+        for j, x in enumerate(rows[i]):
+            if x and level[j] < 0:
+                level[j] = level[i] + 1
+                queue.append(j)
+    period = 0
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                period = gcd(period, level[i] + 1 - level[j])
+    return period == 1
 
 
 def is_transitive_permutation(matrix: NonnegIntMatrix) -> bool:
-    """True for a permutation matrix whose permutation is a single cycle."""
-    rows = matrix.rows
-    n = matrix.size
-    image = [-1] * n
-    seen_cols = [False] * n
-    for i, row in enumerate(rows):
-        ones = [j for j, x in enumerate(row) if x != 0]
-        if len(ones) != 1 or row[ones[0]] != 1:
-            return False
-        j = ones[0]
-        if seen_cols[j]:
-            return False
-        seen_cols[j] = True
-        image[i] = j
-    # single cycle through all n points
-    k = 0
-    steps = 0
-    while steps < n:
-        k = image[k]
-        steps += 1
-        if k == 0:
-            break
-    return steps == n and k == 0
+    """True for a permutation matrix whose permutation is a single cycle.
+
+    Every row summing to 1 makes the digraph a map of the indices to
+    themselves, and an irreducible one is a single cycle.
+    """
+    return all(sum(row) == 1 for row in matrix.rows) and is_irreducible(matrix)
 
 
 def has_permutation_blocks(matrix: NonnegIntMatrix) -> bool:
@@ -265,17 +219,11 @@ def has_permutation_blocks(matrix: NonnegIntMatrix) -> bool:
     These are exactly the nonnegative integer matrices whose spectral
     radius is at most 1, the ones whose powers grow at most polynomially:
     an irreducible block with a row sum above 1 inside it has spectral
-    radius above 1.  The blocks come from the transitive closure of the
-    positive entries (Warshall's algorithm on row bitmasks), so index j is
-    in the block of i when each reaches the other by a path of length >= 1;
-    the test is that no row puts more than 1 into its own block.
+    radius above 1.  Index j is in the block of i when each reaches the
+    other in the transitive closure; the test is that no row puts more
+    than 1 into its own block.
     """
-    n = matrix.size
-    reach = _bool_rows(matrix)
-    for k in range(n):
-        for i in range(n):
-            if reach[i] >> k & 1:
-                reach[i] |= reach[k]
+    reach = _reach(matrix)
     return all(
         sum(x for j, x in enumerate(row) if reach[i] >> j & 1 and reach[j] >> i & 1) <= 1
         for i, row in enumerate(matrix.rows)
@@ -300,9 +248,10 @@ class PowerIterationError(RuntimeError):
     """Power iteration failed to reach the residual tolerance.
 
     Happens for irreducible but imprimitive matrices, whose peripheral
-    spectrum makes the iteration oscillate; callers should test
-    ``is_primitive`` first, or use :func:`pf_eigenvalue_via_shift`.
-    The last iterate is attached for diagnosis.
+    spectrum makes the iteration oscillate; :func:`pf_eigenvalue_via_shift`
+    converges there.  The package's own callers go through ``_perron``,
+    which picks the shift exactly when the matrix is not primitive.  The
+    last iterate is attached for diagnosis.
     """
 
     def __init__(self, message: str, last: PFResult):
@@ -357,6 +306,12 @@ def pf_eigenvalue_via_shift(matrix: NonnegIntMatrix, tol: float = 1e-10, max_ite
     shifted = NonnegIntMatrix.identity(matrix.size) + matrix
     res = _power_iteration(shifted.rows, tol, max_iterations)
     return PFResult(res.eigenvalue - 1.0, res.eigenvector, res.residual, res.iterations)
+
+
+def _perron(matrix: NonnegIntMatrix) -> PFResult:
+    """Perron data of an irreducible matrix: plain power iteration when it
+    is primitive, where that converges, and iteration on I + M otherwise."""
+    return pf_eigenvalue(matrix) if is_primitive(matrix) else pf_eigenvalue_via_shift(matrix)
 
 
 def int_determinant(rows: Sequence[Sequence[int]]) -> int:

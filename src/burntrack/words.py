@@ -323,7 +323,8 @@ class Word:
         """Single-string rendering: ``abA`` style when unambiguous.
 
         Positive letters must be single lowercase characters; inverses print
-        uppercase.  Falls back to the token syntax otherwise.
+        uppercase unless that uppercase form is itself a letter.  Falls back
+        to the token syntax otherwise.
         """
         alph = self._alphabet
         out = []
@@ -336,6 +337,7 @@ class Word:
                 and tok.endswith(_INV_SUFFIX)
                 and len(tok) == 1 + len(_INV_SUFFIX)
                 and tok[0].islower()
+                and tok[0].upper() not in alph
             ):
                 out.append(tok[0].upper())
             else:

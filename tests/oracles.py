@@ -120,3 +120,72 @@ def spectral_radius_above_one_bruteforce(rows: Sequence[Sequence[int]]) -> bool:
     total = sum(map(sum, power))
     assert total < 10**9 or total > 10**10
     return total > 10**10
+
+
+def _boolean_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if a[i][k] and b[k][j]:
+                    out[i][j] = 1
+    return out
+
+
+def irreducible_bruteforce(rows: Sequence[Sequence[int]]) -> bool:
+    """Is M + M^2 + ... + M^n entrywise positive?
+
+    Walks only need their positive pattern, so entries are read as 0 or 1.
+    """
+    n = len(rows)
+    power = [[1 if x > 0 else 0 for x in row] for row in rows]
+    total = [list(row) for row in power]
+    for _ in range(n - 1):
+        power = _boolean_product(power, rows)
+        for i in range(n):
+            for j in range(n):
+                if power[i][j]:
+                    total[i][j] = 1
+    return all(x for row in total for x in row)
+
+
+def primitive_bruteforce(rows: Sequence[Sequence[int]]) -> bool:
+    """Is M^(n^2 - 2n + 2) entrywise positive?  (Wielandt's exponent.)"""
+    n = len(rows)
+    power = [[1 if x > 0 else 0 for x in row] for row in rows]
+    for _ in range(n * n - 2 * n + 1):
+        power = _boolean_product(power, rows)
+    return all(x for row in power for x in row)
+
+
+def transitive_permutation_bruteforce(rows: Sequence[Sequence[int]]) -> bool:
+    """A permutation matrix whose walk from index 0 first returns after n steps?"""
+    n = len(rows)
+    for i in range(n):
+        if sorted(rows[i]) != [0] * (n - 1) + [1]:
+            return False
+        if sorted(rows[k][i] for k in range(n)) != [0] * (n - 1) + [1]:
+            return False
+    v = rows[0].index(1)
+    steps = 1
+    while v != 0:
+        v = rows[v].index(1)
+        steps += 1
+    return steps == n
+
+
+def turn_legal_bruteforce(df: Sequence[int], e1: int, e2: int) -> bool:
+    """Step both edges under the derivative table df until they meet or repeat.
+
+    Meeting makes the turn illegal; a repeated pair, before any meeting,
+    means the two orbits never meet, so the turn is legal.
+    """
+    seen = []
+    a, b = e1, e2
+    while (a, b) not in seen:
+        if a == b:
+            return False
+        seen.append((a, b))
+        a, b = df[a], df[b]
+    return True

@@ -284,6 +284,14 @@ class TestOrbit:
         assert data["words"] == ["a", "ab", "aba"]
         assert data["depth"] == 3
 
+    def test_inverse_prints_apart_from_an_uppercase_letter(self, tmp_path, capsys):
+        p = tmp_path / "upper.bt"
+        p.write_text("alphabet X inverse a A\n\nautom f over X\n  a -> a^-1\n  A -> A\nend\n")
+        _, out_a, _ = run(capsys, "-s", str(p), "orbit", "f", "a", "--depth", "2")
+        _, out_upper, _ = run(capsys, "-s", str(p), "orbit", "f", "A", "--depth", "2")
+        assert out_a.splitlines() == ["1 a^-1", "2 a"]
+        assert out_upper.splitlines() == ["1 A", "2 A"]
+
     def test_unknown_name(self, session_path, capsys):
         code, out, err = run(capsys, "-s", session_path, "orbit", "nope", "b")
         assert code == EXIT_ERROR

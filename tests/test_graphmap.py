@@ -30,6 +30,9 @@ from burntrack.graphmap import (
 from burntrack.limits import GrowthCapExceeded
 from burntrack.words import InverseAlphabet, Word, reduce
 
+from .oracles import turn_legal_bruteforce
+from .test_tightening import GRAPH_MAPS
+
 
 def psi_rose():
     g = Graph.rose(["a", "b", "c", "d"], {"a": 1, "b": 2, "c": 3, "d": 3})
@@ -460,6 +463,42 @@ class TestTurns:
     def test_legality_only_sees_height_k(self):
         g, f = psi_rose()
         assert path_is_k_legal(f, EdgePath(g, "a c"), 3)
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_MAPS))
+    def test_every_turn_matches_oracle(self, name):
+        assert_turns_match_oracle(GRAPH_MAPS[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(0, 2 * k - 1), min_size=1, max_size=4), min_size=k, max_size=k
+            )
+        )
+    )
+    def test_rose_maps_match_oracle(self, images):
+        names = [f"e{q}" for q in range(len(images))]
+        g = Graph.rose(names)
+        tight_images = {}
+        for name, img in zip(names, images):
+            path = tight(g, img)
+            if path.is_trivial:
+                path = EdgePath(g, name)
+            tight_images[name] = path
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # most of these are not homotopy equivalences
+            f = StratifiedGraphMap(g, {"*": "*"}, tight_images)
+        assert_turns_match_oracle(f)
+
+
+def assert_turns_match_oracle(f):
+    g = f.graph
+    n = len(g.edge_alphabet.letters)
+    df = [f.edge_image(i).indices[0] for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if g.origin(a) == g.origin(b):
+                assert f.turn_is_legal(a, b) == turn_legal_bruteforce(df, a, b)
 
 
 class TestRTT:

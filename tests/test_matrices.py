@@ -1,5 +1,6 @@
 """Integer matrix layer: structure tests and Perron root extraction."""
 
+import itertools
 import math
 import random
 
@@ -20,7 +21,12 @@ from burntrack.matrices import (
     pf_eigenvalue_via_shift,
 )
 
-from .oracles import spectral_radius_above_one_bruteforce
+from .oracles import (
+    irreducible_bruteforce,
+    primitive_bruteforce,
+    spectral_radius_above_one_bruteforce,
+    transitive_permutation_bruteforce,
+)
 
 FIB = NonnegIntMatrix([[1, 1], [1, 0]])
 SWAP = NonnegIntMatrix([[0, 1], [1, 0]])
@@ -94,6 +100,44 @@ class TestStructure:
         assert not is_transitive_permutation(NonnegIntMatrix.identity(2))
         assert not is_transitive_permutation(FIB)
         assert not is_transitive_permutation(NonnegIntMatrix([[0, 2], [1, 0]]))
+
+
+def assert_structure_matches_oracles(rows):
+    m = NonnegIntMatrix(rows)
+    assert is_irreducible(m) == irreducible_bruteforce(rows)
+    assert is_primitive(m) == primitive_bruteforce(rows)
+    assert is_transitive_permutation(m) == transitive_permutation_bruteforce(rows)
+    if len(rows) <= 3:
+        assert has_permutation_blocks(m) == (not spectral_radius_above_one_bruteforce(rows))
+
+
+class TestStructureOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_zero_one_matrix(self, n):
+        for flat in itertools.product((0, 1), repeat=n * n):
+            assert_structure_matches_oracles([list(flat[i * n : (i + 1) * n]) for i in range(n)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_random_matrices(self, rows):
+        assert_structure_matches_oracles(rows)
+
+    # random matrices are rarely permutations, so also change up to two
+    # entries of a drawn permutation matrix
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.permutations(range(6)),
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)), max_size=2),
+    )
+    def test_near_permutations(self, perm, n, changes):
+        image = [p for p in perm if p < n]
+        rows = [[1 if image[i] == j else 0 for j in range(n)] for i in range(n)]
+        for i, j, x in changes:
+            rows[i % n][j % n] = x
+        assert_structure_matches_oracles(rows)
 
 
 class TestPermutationBlocks:

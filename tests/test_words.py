@@ -136,6 +136,14 @@ class TestWords:
         w = Word(alph, ["x1", "y^-1"])
         assert w.compact() == str(w) == "x1 y^-1"
 
+    def test_compact_falls_back_when_uppercase_is_a_letter(self):
+        alph = InverseAlphabet(["a", "A"])
+        inverse, positive = Word(alph, ["a^-1"]), Word(alph, ["A"])
+        assert inverse.compact() == str(inverse) == "a^-1"
+        assert positive.compact() == "A"
+        assert Word(alph, ["a", "a"]).compact() == "aa"
+        assert Word.parse(alph, inverse.compact()) == inverse
+
     def test_concat_and_power(self):
         w = word("ab")
         assert (w * word("ba")).letters == ("a", "b", "b", "a")
