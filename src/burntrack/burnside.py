@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from ._records import frozen
 from .automorphisms import BasisMap
-from .words import GroupWord, InverseAlphabet, PowerRun, Word, _tighten, find_power_runs, flip
+from .words import GroupWord, InverseAlphabet, PowerRun, Word, _root_length, _tighten, find_power_runs, flip
 
 __all__ = [
     "MoveParams",
@@ -672,39 +673,19 @@ def _base_words(alphabet: InverseAlphabet, length: int) -> list[tuple[int, ...]]
 
     Rotating a base word or inverting it yields the same normal closure
     for its n-th power, and a proper power u^k contributes nothing beyond
-    u, so only canonical representatives are kept.
+    u, so only canonical representatives are kept: each is least among
+    the rotations of itself and of its flip.  The list is in lexicographic
+    order, which fixes the relator order of :func:`burnside_oracle`.
     """
-    width = len(alphabet.letters)
     out = []
-
-    def canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
-        best = None
-        flipped = tuple(i ^ 1 for i in reversed(seq))
-        for s in (seq, flipped):
-            for r in range(len(s)):
-                cand = s[r:] + s[:r]
-                if best is None or cand < best:
-                    best = cand
-        return best
-
-    def primitive(seq: tuple[int, ...]) -> bool:
-        n = len(seq)
-        for p in range(1, n):
-            if n % p == 0 and seq == seq[:p] * (n // p):
-                return False
-        return True
-
-    stack: list[tuple[int, ...]] = [(x,) for x in range(width)]
-    while stack:
-        seq = stack.pop()
-        if len(seq) == length:
-            if seq[-1] != seq[0] ^ 1 and primitive(seq) and canonical(seq) == seq:
-                out.append(seq)
+    for seq in product(range(len(alphabet.letters)), repeat=length):
+        if any(seq[k] == seq[k - 1] ^ 1 for k in range(length)):
             continue
-        for x in range(width):
-            if x != seq[-1] ^ 1:
-                stack.append(seq + (x,))
-    out.sort()
+        if _root_length(bytes(seq), 1) != length:
+            continue
+        flipped = tuple(i ^ 1 for i in reversed(seq))
+        if seq == min(s[r:] + s[:r] for s in (seq, flipped) for r in range(length)):
+            out.append(seq)
     return out
 
 

@@ -79,6 +79,7 @@ from .graphmap import (
     Graph,
     StratifiedGraphMap,
     StratumKind,
+    _exponential_stratum,
     classify_strata,
     f_sharp,
     growth_classify,
@@ -531,12 +532,7 @@ def _cmd_power_index(args):
 
 def _pf_data(obj):
     if isinstance(obj, StratifiedGraphMap):
-        exponential = [r for r in classify_strata(obj) if r.kind is StratumKind.EXPONENTIAL]
-        if len(exponential) != 1:
-            raise _CliError(
-                f"need exactly one exponential stratum, found {len(exponential)}"
-            )
-        top = exponential[0]
+        top = _exponential_stratum(obj)
         return top.eigenvalue, top.eigenvector, top.residual, list(top.edges)
     matrix = obj.transition_matrix()
     if not is_irreducible(matrix):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ._records import frozen
@@ -711,13 +711,10 @@ def build_turn_table(f: StratifiedGraphMap) -> TurnTable:
     by_vertex: dict[str, tuple[Turn, ...]] = {}
     for v in g.vertices:
         here = [i for i in range(n) if g.origin(i) == v]
-        turns = []
-        for a in range(len(here)):
-            for b in range(a + 1, len(here)):
-                e1, e2 = here[a], here[b]
-                key = tuple(sorted((alph.token(e1), alph.token(e2))))
-                turns.append(Turn(edges=key, legal=f.turn_is_legal(e1, e2)))
-        by_vertex[v] = tuple(turns)
+        by_vertex[v] = tuple(
+            Turn(edges=tuple(sorted((alph.token(e1), alph.token(e2)))), legal=f.turn_is_legal(e1, e2))
+            for e1, e2 in combinations(here, 2)
+        )
     return TurnTable(turns=by_vertex)
 
 
@@ -772,25 +769,18 @@ def check_rtt(f: StratifiedGraphMap, depth: int = 3) -> RTTReport:
     exponential = [r.height for r in reports if r.kind is StratumKind.EXPONENTIAL]
 
     derivative_failures = []
-    for k in exponential:
-        for name in g.edges_of_height(k):
-            for i in (alph.index(name), alph.index(name) ^ 1):
-                if g.height(f.derivative(i)) != k:
-                    derivative_failures.append((k, alph.token(i)))
-
     image_legality_failures = []
-    for k in exponential:
-        for name in g.edges_of_height(k):
-            if not path_is_k_legal(f, f.edge_image(name), k):
-                image_legality_failures.append((k, name))
-
     lower_path_failures = []
     for k in exponential:
         layer_vertices = set()
         for name in g.edges_of_height(k):
             i = alph.index(name)
-            layer_vertices.add(g.origin(i))
-            layer_vertices.add(g.terminus(i))
+            for j in (i, i ^ 1):
+                layer_vertices.add(g.origin(j))
+                if g.height(f.derivative(j)) != k:
+                    derivative_failures.append((k, alph.token(j)))
+            if not path_is_k_legal(f, f.edge_image(name), k):
+                image_legality_failures.append((k, name))
         for p, name in enumerate(g.positive_edges):
             i = 2 * p
             if g.height(i) >= k:
@@ -874,14 +864,16 @@ def red_projection(path: EdgePath, k: int | None = None) -> Word:
     return Word._trusted(red, bytes(path.indices).translate(translate, delete))
 
 
-def _single_top_exponential(f: StratifiedGraphMap) -> StratumReport:
-    reports = classify_strata(f)
-    exponential = [r for r in reports if r.kind is StratumKind.EXPONENTIAL]
+def _exponential_stratum(f: StratifiedGraphMap) -> StratumReport:
+    """The one exponential stratum of f; ValueError unless there is exactly one."""
+    exponential = [r for r in classify_strata(f) if r.kind is StratumKind.EXPONENTIAL]
     if len(exponential) != 1:
-        raise ValueError(
-            f"need exactly one exponential stratum, found {len(exponential)}"
-        )
-    top = exponential[0]
+        raise ValueError(f"need exactly one exponential stratum, found {len(exponential)}")
+    return exponential[0]
+
+
+def _single_top_exponential(f: StratifiedGraphMap) -> StratumReport:
+    top = _exponential_stratum(f)
     if top.height != f.graph.max_height:
         raise ValueError(
             f"the exponential stratum (height {top.height}) must be the top one "
@@ -987,12 +979,9 @@ def pf_length(f: StratifiedGraphMap, path: EdgePath) -> float:
     top = _single_top_exponential(f)
     if top.eigenvector is None:
         raise ValueError("no eigendata on the top stratum")
-    weight = dict(zip(top.edges, top.eigenvector))
-    g = f.graph
-    alph = g.edge_alphabet
+    index = f.graph.edge_alphabet.index
+    weight = {index(name) >> 1: w for name, w in zip(top.edges, top.eigenvector)}
     total = 0.0
     for i in path.indices:
-        name = alph.token(i & ~1)
-        if name in weight:
-            total += weight[name]
+        total += weight.get(i >> 1, 0.0)
     return total

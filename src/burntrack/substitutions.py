@@ -12,7 +12,9 @@ letter is eventually a repeated block (:func:`detect_shift_period`),
 whether that can be ruled out exactly (:func:`certify_aperiodic_by_eigenvalue`),
 how large the powers in an orbit get (:func:`orbit_power_index`), and
 whether a coherent direction can be chosen through every inverse pair
-(:func:`orientability`).
+(:func:`orientability`), a parity system over the pairs solved in one
+pass, which turns a flip-equivariant substitution into a positive one
+over a plain alphabet.
 """
 
 from __future__ import annotations
@@ -266,8 +268,8 @@ class Orientable:
     """A coherent direction exists through every inverse pair.
 
     ``preferred`` holds the chosen token of each pair in positive-letter
-    order, lexicographically least in the sense that each pair keeps its
-    positive letter unless that provably admits no completion.  ``induced``
+    order, lexicographically least with the first pair most significant
+    and the positive letter before its inverse.  ``induced``
     is the substitution read along the chosen directions, written over a
     plain alphabet that reuses the positive letter names.
     """
@@ -282,53 +284,43 @@ class NonOrientable:
 
 
 def orientability(subst: Substitution) -> Orientable | NonOrientable:
-    """Search for a choice of one direction per pair closed under images.
+    """Choose one direction per pair so that chosen letters map to chosen letters.
 
-    A direction choice is valid when the image of every chosen letter uses
-    chosen letters only.  Flipping a letter flips its whole image, so each
-    pair contributes a binary variable; the search is depth-first over
-    pairs in alphabet order, trying the positive direction first, with
-    forced assignments propagated eagerly.  The first solution found is
-    therefore the lexicographically least one.
+    Each pair p carries one bit, dir(p): 0 keeps its positive letter.  A
+    letter of direction e in the image of p's positive letter ties its pair
+    q to p by dir(q) = dir(p) XOR e, and the tie holds both ways round,
+    because flipping a letter flips its whole image.  The ties form a
+    parity system, solved in one pass: each pair that no tie has reached
+    yet keeps its positive letter, and a stack carries that choice along
+    its ties; a tie that contradicts a fixed bit means no choice closes up.
+    Flipping every pair of a linked set keeps its ties, so giving the
+    first pair of each set its positive letter yields the lexicographically
+    least solution.
     """
     alph = subst.alphabet
     if not alph.has_inverses:
         raise ValueError("orientability is about inverse pairs; got a plain alphabet")
     r = alph.rank
-
-    def close(assign: list[int | None], pair: int, direction: int) -> bool:
-        # returns False on conflict; mutates assign
-        queue = [(pair, direction)]
-        if assign[pair] is not None:
-            return assign[pair] == direction
-        assign[pair] = direction
-        while queue:
-            p, d = queue.pop()
-            for i in subst.letter_image(2 * p + d):
-                q, b = i >> 1, i & 1
-                if assign[q] is None:
-                    assign[q] = b
-                    queue.append((q, b))
-                elif assign[q] != b:
-                    return False
-        return True
-
-    def dfs(assign: list[int | None]) -> list[int | None] | None:
-        try:
-            p = assign.index(None)
-        except ValueError:
-            return assign
-        for d in (0, 1):
-            trial = assign.copy()
-            if close(trial, p, d):
-                done = dfs(trial)
-                if done is not None:
-                    return done
-        return None
-
-    solution = dfs([None] * r)
-    if solution is None:
-        return NonOrientable()
+    ties: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    for p in range(r):
+        for i in subst.letter_image(2 * p):
+            ties[p].append((i >> 1, i & 1))
+            ties[i >> 1].append((p, i & 1))
+    solution: list[int | None] = [None] * r
+    for first in range(r):
+        if solution[first] is not None:
+            continue
+        solution[first] = 0
+        stack = [first]
+        while stack:
+            p = stack.pop()
+            for q, e in ties[p]:
+                d = solution[p] ^ e
+                if solution[q] is None:
+                    solution[q] = d
+                    stack.append(q)
+                elif solution[q] != d:
+                    return NonOrientable()
     preferred = tuple(alph.token(2 * p + solution[p]) for p in range(r))
     names = alph.positive_letters
     plain = Alphabet(names)

@@ -189,3 +189,67 @@ def turn_legal_bruteforce(df: Sequence[int], e1: int, e2: int) -> bool:
         seen.append((a, b))
         a, b = df[a], df[b]
     return True
+
+
+def orientability_bruteforce(images: Sequence[Sequence[int]]):
+    """First direction choice closed under a flip-equivariant substitution.
+
+    ``images[p]`` is the image of pair p's positive letter, with letter
+    2q + e standing for pair q in direction e; the image of 2p + 1 is the
+    flip of ``images[p]``.  Every tuple of directions is tried in
+    lexicographic order, pair 0 most significant.  Returns the first tuple
+    whose chosen letters have images made only of chosen letters, with the
+    pair indices of those images, or None when there is none.
+    """
+    r = len(images)
+    for number in range(2**r):
+        dirs = []
+        for p in range(r):
+            dirs.append((number >> (r - 1 - p)) & 1)
+        induced = []
+        closed = True
+        for p in range(r):
+            if dirs[p] == 0:
+                image = list(images[p])
+            else:
+                image = [i ^ 1 for i in reversed(images[p])]
+            for i in image:
+                if i % 2 != dirs[i // 2]:
+                    closed = False
+            induced.append(tuple(i // 2 for i in image))
+        if closed:
+            return tuple(dirs), tuple(induced)
+    return None
+
+
+def base_words_bruteforce(width: int, length: int) -> list[tuple[int, ...]]:
+    """Representatives of the cyclically reduced primitive words, in lexicographic order.
+
+    Letters are 0 .. width - 1 with 2p + 1 the inverse of 2p.  A word is
+    kept when no cyclically adjacent letters cancel, it is not a proper
+    power, and it is least among the rotations of itself and of its flip.
+    """
+    words = [()]
+    for _ in range(length):
+        longer = []
+        for w in words:
+            for x in range(width):
+                longer.append(w + (x,))
+        words = longer
+    out = []
+    for w in words:
+        reduced = True
+        for k in range(length):
+            if w[k] ^ 1 == w[(k + 1) % length]:
+                reduced = False
+        if not reduced or not is_primitive_seq(w):
+            continue
+        flipped = tuple(x ^ 1 for x in reversed(w))
+        least = True
+        for s in (w, flipped):
+            for r in range(length):
+                if s[r:] + s[:r] < w:
+                    least = False
+        if least:
+            out.append(w)
+    return out

@@ -30,6 +30,8 @@ from burntrack.burnside import (
 )
 from burntrack.words import GroupWord, InverseAlphabet, Word, reduce
 
+from .oracles import base_words_bruteforce
+
 F2 = InverseAlphabet("ab")
 
 
@@ -406,6 +408,13 @@ class TestToddCoxeter:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_base_words_match_bruteforce(self, rank):
+        # the relator order fixes the coset enumeration, so order counts too
+        alph = InverseAlphabet("abcd"[:rank])
+        for length in (1, 2, 3):
+            assert burnside._base_words(alph, length) == base_words_bruteforce(2 * rank, length)
+
     @pytest.mark.parametrize("rank,exponent", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_orders_match_formula(self, rank, exponent):
         q = burnside_oracle(rank, exponent)

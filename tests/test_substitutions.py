@@ -1,6 +1,9 @@
 """Substitution layer: images, fixed points, periodicity, orientation."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from burntrack.substitutions import (
 )
 from burntrack.words import Alphabet, InverseAlphabet, Word, flip, max_power_index
 
-from .oracles import power_index_bruteforce
+from .oracles import orientability_bruteforce, power_index_bruteforce
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -302,8 +305,9 @@ class TestOrientability:
         assert orientability(s) == NonOrientable()
 
     def test_needs_backtracking(self):
-        # keeping b positive dead-ends only after propagating through c,
-        # so a one-pass greedy choice would wrongly report failure
+        # keeping b positive dead-ends only after propagating through c;
+        # ties read only forwards, from a letter to its image, would report
+        # failure, while ties kept on both pairs settle b from c in one pass
         free = InverseAlphabet("abc")
         s = Substitution(free, {"a": "a", "b": "b", "c": "c a b^-1"})
         res = orientability(s)
@@ -313,6 +317,53 @@ class TestOrientability:
     def test_rejects_plain_alphabet(self):
         with pytest.raises(ValueError):
             orientability(FIB)
+
+    def test_long_chain_is_one_pass(self):
+        # a_i -> a_i for i < 40 and z -> z a0 a1^-1 a2 a3^-1 ...: a search that
+        # keeps each a_i positive until z refutes it tries about 2^39 choices,
+        # and an in-process hang cannot be bounded, so a child process runs it
+        code = "\n".join([
+            "from burntrack.substitutions import Substitution, orientability",
+            "from burntrack.words import InverseAlphabet",
+            "names = [f'a{i}' for i in range(40)]",
+            "images = {x: x for x in names}",
+            "images['z'] = ' '.join(['z'] + [x + '^-1' * (i % 2) for i, x in enumerate(names)])",
+            "print(' '.join(orientability(Substitution(InverseAlphabet(names + ['z']), images)).preferred))",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=20
+        )
+        expected = [f"a{i}" + "^-1" * (i % 2) for i in range(40)] + ["z"]
+        assert out.stdout.split() == expected
+
+    @staticmethod
+    def _against_bruteforce(images):
+        r = len(images)
+        free = InverseAlphabet([f"x{p}" for p in range(r)])
+        s = Substitution(free, {free.positive_letters[p]: Word.from_indices(free, images[p]) for p in range(r)})
+        res = orientability(s)
+        expected = orientability_bruteforce(images)
+        if expected is None:
+            assert res == NonOrientable()
+            return
+        dirs, induced = expected
+        assert isinstance(res, Orientable)
+        assert res.preferred == tuple(free.token(2 * p + dirs[p]) for p in range(r))
+        assert tuple(res.induced.image(x).indices for x in res.induced.alphabet.letters) == induced
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_bruteforce_on_every_short_image(self, rank):
+        words = [w for n in (1, 2) for w in itertools.product(range(2 * rank), repeat=n)]
+        for images in itertools.product(words, repeat=rank):
+            self._against_bruteforce(images)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce(self, data):
+        rank = data.draw(st.integers(1, 4))
+        letters = st.lists(st.integers(0, 2 * rank - 1), min_size=1, max_size=3)
+        self._against_bruteforce([data.draw(letters) for _ in range(rank)])
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
