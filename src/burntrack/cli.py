@@ -337,6 +337,13 @@ def _fmt(value: float, spec: str) -> tuple[str, float]:
     return text, float(text)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     # exit code 1 on usage errors, per the CLI contract
     def error(self, message):
@@ -395,7 +402,7 @@ def _build_parser() -> _Parser:
     p = add_parser("moves", help="power rewrites of a word, or a join search")
     p.add_argument("word")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--xi", default="0")
+    p.add_argument("--xi", type=_fraction, default="0")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--join", metavar="WORD2")
     p.add_argument("--budget", type=int, default=20_000)
@@ -634,7 +641,7 @@ def _reduced_input(alphabet, text: str) -> GroupWord:
 
 def _cmd_moves(args):
     alphabet = _moves_alphabet(args.rank)
-    params = MoveParams(args.n, Fraction(args.xi))
+    params = MoveParams(args.n, args.xi)
     word = _reduced_input(alphabet, args.word)
     if args.join is None:
         moves = find_elementary_moves(word, params)

@@ -15,7 +15,9 @@ tight nontrivial path while never raising height.  On that foundation:
 - :func:`yellow_loop_audit` looks for low-height subpaths that close up;
 - :func:`pf_length` weighs paths by the top Perron eigenvector.
 
-A graph builds one spanning tree, cached like its red tables:
+A path is its graph, its tuple of oriented edge indices and its origin;
+its word over the edge alphabet is built only when asked for.  A graph
+builds one spanning tree, cached like its red tables:
 ``Graph.is_connected`` asks whether it reaches every vertex, and
 ``StratifiedGraphMap.h1_matrix`` takes its cycle basis from it.  A map
 builds one stable power of its edge derivative Df, and a turn is illegal
@@ -37,13 +39,13 @@ from .automorphisms import AbelianizationMatrix, Growth, _signed_counts
 from .matrices import (
     NonnegIntMatrix,
     _pair_count_matrix,
+    _period,
     _perron,
     is_irreducible,
-    is_primitive,
     is_transitive_permutation,
 )
 from .substitutions import Substitution
-from .words import InverseAlphabet, Word, _image_length, _join_images, _LetterMap, _tighten, flip
+from .words import InverseAlphabet, Word, _image_length, _join_images, _LetterMap, _tighten
 
 __all__ = [
     "Graph",
@@ -242,13 +244,14 @@ class Graph:
 class EdgePath:
     """Tight path: consecutive edges compose and never backtrack.
 
-    The letter sequence is a word over the graph's edge alphabet; the empty
-    path needs an explicit basepoint (``at=``).  Paths are immutable.
-    ``*`` concatenates and tightens, so the product is the homotopy class
-    of the composite relative to its endpoints.
+    A path is its graph, its tuple of oriented edge indices and its origin;
+    :attr:`word` builds the word over the graph's edge alphabet on demand.
+    The empty path needs an explicit basepoint (``at=``).  Paths are
+    immutable.  ``*`` concatenates and tightens, so the product is the
+    homotopy class of the composite relative to its endpoints.
     """
 
-    __slots__ = ("_graph", "_word", "_origin")
+    __slots__ = ("_graph", "_seq", "_origin")
 
     def __init__(self, graph: Graph, edges: Word | Iterable[str] = (), at: str | None = None):
         if isinstance(edges, Word):
@@ -280,15 +283,15 @@ class EdgePath:
                 raise ValueError(f"unknown vertex {at!r}")
             start = at
         self._graph = graph
-        self._word = word
+        self._seq = seq
         self._origin = start
 
     @classmethod
-    def _make(cls, graph: Graph, word: Word, origin: str) -> "EdgePath":
-        # trusted constructor: caller guarantees tightness and composability
+    def _make(cls, graph: Graph, seq: Iterable[int], origin: str) -> "EdgePath":
+        # trusted constructor: caller guarantees range, tightness and composability
         self = object.__new__(cls)
         self._graph = graph
-        self._word = word
+        self._seq = tuple(seq)
         self._origin = origin
         return self
 
@@ -298,11 +301,11 @@ class EdgePath:
 
     @property
     def word(self) -> Word:
-        return self._word
+        return Word._trusted(self._graph.edge_alphabet, self._seq)
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return self._word.indices
+        return self._seq
 
     @property
     def origin(self) -> str:
@@ -310,12 +313,12 @@ class EdgePath:
 
     @property
     def terminus(self) -> str:
-        seq = self._word.indices
+        seq = self._seq
         return self._graph.terminus(seq[-1]) if seq else self._origin
 
     @property
     def is_trivial(self) -> bool:
-        return len(self._word) == 0
+        return not self._seq
 
     @property
     def is_loop(self) -> bool:
@@ -323,25 +326,25 @@ class EdgePath:
 
     def vertex_at(self, n: int) -> str:
         """Vertex reached after the first n edges."""
-        if not 0 <= n <= len(self._word):
+        if not 0 <= n <= len(self._seq):
             raise IndexError(n)
         if n == 0:
             return self._origin
-        return self._graph.terminus(self._word.indices[n - 1])
+        return self._graph.terminus(self._seq[n - 1])
 
     def __len__(self) -> int:
-        return len(self._word)
+        return len(self._seq)
 
     def __getitem__(self, key) -> "EdgePath | str":
         if isinstance(key, slice):
-            start, stop, step = key.indices(len(self._word))
+            start, stop, step = key.indices(len(self._seq))
             if step != 1:
                 raise ValueError("paths cannot be sliced with a step")
-            return EdgePath._make(self._graph, self._word[start:stop], self.vertex_at(start))
-        return self._word[key]
+            return EdgePath._make(self._graph, self._seq[start:stop], self.vertex_at(start))
+        return self._graph.edge_alphabet.token(self._seq[key])
 
     def reverse(self) -> "EdgePath":
-        return EdgePath._make(self._graph, flip(self._word), self.terminus)
+        return EdgePath._make(self._graph, [i ^ 1 for i in reversed(self._seq)], self.terminus)
 
     def __mul__(self, other: "EdgePath") -> "EdgePath":
         if not isinstance(other, EdgePath):
@@ -352,29 +355,21 @@ class EdgePath:
             raise ValueError(
                 f"paths do not compose: {self.terminus!r} vs {other.origin!r}"
             )
-        return EdgePath._make(
-            self._graph,
-            Word._trusted(self._graph.edge_alphabet, _tighten((self.indices, other.indices))),
-            self._origin,
-        )
+        return EdgePath._make(self._graph, _tighten((self._seq, other._seq)), self._origin)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgePath):
             return NotImplemented
-        return (
-            self._graph == other._graph
-            and self._word == other._word
-            and self._origin == other._origin
-        )
+        return (self._graph, self._seq, self._origin) == (other._graph, other._seq, other._origin)
 
     def __hash__(self) -> int:
-        return hash((self._graph, self._word, self._origin))
+        return hash((self._graph, self._seq, self._origin))
 
     def __str__(self) -> str:
-        return str(self._word) if len(self._word) else f"<trivial at {self._origin}>"
+        return str(self.word) if self._seq else f"<trivial at {self._origin}>"
 
     def compact(self) -> str:
-        return self._word.compact()
+        return self.word.compact()
 
     def __repr__(self) -> str:
         return f"EdgePath({str(self)!r})"
@@ -398,7 +393,7 @@ class StratifiedGraphMap(_LetterMap):
     equality is identity.
     """
 
-    __slots__ = ("_graph", "_vmap", "_codes", "_df", "_df_stable", "_strata_cache")
+    __slots__ = ("_graph", "_vmap", "_codes", "_df_stable", "_strata_cache")
 
     _keys = "positive edge names"
     __eq__ = object.__eq__
@@ -422,9 +417,8 @@ class StratifiedGraphMap(_LetterMap):
         table = self._table
         # byte images for _join_images, which needs every index below 256
         self._codes = tuple(map(bytes, table)) if len(table) <= 256 else None
-        self._df = tuple(img[0] for img in table)
         # Df^(2^b) with 2^b above the number of oriented edges, by b squarings
-        stable = self._df
+        stable = tuple(img[0] for img in table)
         for _ in range(len(stable).bit_length()):
             stable = tuple(stable[i] for i in stable)
         self._df_stable = stable
@@ -475,15 +469,11 @@ class StratifiedGraphMap(_LetterMap):
     def edge_image(self, name_or_index: str | int) -> EdgePath:
         g = self._graph
         i = name_or_index if isinstance(name_or_index, int) else g.edge_alphabet.index(name_or_index)
-        return EdgePath._make(
-            g,
-            Word.from_indices(g.edge_alphabet, self._table[i]),
-            self._vmap[g.origin(i)],
-        )
+        return EdgePath._make(g, self._table[i], self._vmap[g.origin(i)])
 
     def derivative(self, i: int) -> int:
         """First oriented edge of the image of oriented edge i."""
-        return self._df[i]
+        return self._table[i][0]
 
     def h1_matrix(self) -> AbelianizationMatrix:
         """Action on cycles, in the basis of edges outside the graph's spanning tree."""
@@ -554,9 +544,7 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     cur = path
     for _ in range(power):
         f._check_growth(cur.indices)
-        cur = EdgePath._make(
-            g, Word._trusted(g.edge_alphabet, f.apply_raw(cur)), f.vertex_image(cur.origin)
-        )
+        cur = EdgePath._make(g, f.apply_raw(cur), f.vertex_image(cur.origin))
     return cur
 
 
@@ -614,12 +602,9 @@ def classify_strata(f: StratifiedGraphMap) -> tuple[StratumReport, ...]:
         loop_word = None
         if m.is_zero:
             kind = StratumKind.ZERO
-        elif not is_irreducible(m):
-            kind = StratumKind.REQUIRES_REFINEMENT
-            aperiodic = False
         elif is_transitive_permutation(m):
             kind = StratumKind.NON_EXPONENTIAL
-            aperiodic = is_primitive(m)
+            aperiodic = _period(m) == 1
             if single_edge:
                 img = f.edge_image(edges[0])
                 e = g.edge_alphabet.index(edges[0])
@@ -627,13 +612,14 @@ def classify_strata(f: StratifiedGraphMap) -> tuple[StratumReport, ...]:
                     rest = img[1:]
                     if rest.is_loop:
                         loop_word = rest
-        else:
+        elif is_irreducible(m):
             kind = StratumKind.EXPONENTIAL
-            aperiodic = is_primitive(m)
+            aperiodic = _period(m) == 1
             pf = _perron(m)
-            eigenvalue = pf.eigenvalue
-            eigenvector = pf.eigenvector
-            residual = pf.residual
+            eigenvalue, eigenvector, residual = pf.eigenvalue, pf.eigenvector, pf.residual
+        else:
+            kind = StratumKind.REQUIRES_REFINEMENT
+            aperiodic = False
         reports.append(
             StratumReport(
                 height=k,
@@ -722,13 +708,14 @@ def path_is_k_legal(f: StratifiedGraphMap, path: EdgePath, k: int) -> bool:
     """No illegal turn whose two edges both have height k.
 
     Turns involving any lower edge do not count against legality at
-    height k.
+    height k.  Consecutive letters meet at a vertex, so each turn reads the stable Df.
     """
     g = f.graph
+    stable = f._df_stable
     seq = path.indices
     for n in range(len(seq) - 1):
         a, b = seq[n] ^ 1, seq[n + 1]
-        if g.height(a) == k and g.height(b) == k and not f.turn_is_legal(a, b):
+        if g.height(a) == k and g.height(b) == k and stable[a] == stable[b]:
             return False
     return True
 
@@ -787,9 +774,7 @@ def check_rtt(f: StratifiedGraphMap, depth: int = 3) -> RTTReport:
                 continue
             if g.origin(i) not in layer_vertices or g.terminus(i) not in layer_vertices:
                 continue
-            path = EdgePath._make(
-                g, Word.from_indices(alph, (i,)), g.origin(i)
-            )
+            path = EdgePath._make(g, (i,), g.origin(i))
             for power in range(1, depth + 1):
                 path = f_sharp(f, path)
                 if (

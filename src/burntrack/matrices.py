@@ -1,11 +1,11 @@
 """Nonnegative integer matrices: irreducibility, primitivity, Perron root.
 
 Entries are exact Python integers of arbitrary size.  Structure tests are
-exact: one transitive closure (``_reach``) answers irreducibility,
-transitive permutations and permutation blocks, and primitivity is a
-period of 1, read from one breadth-first search.  Only the Perron
-eigenvalue is numeric, by power iteration with an explicit residual;
-``_perron`` picks plain or shifted iteration by primitivity.  The equality
+exact and each runs one transitive closure (``_reach``); primitivity adds
+a period of 1, which ``_period`` reads from one breadth-first search.  Only
+the Perron eigenvalue is numeric, by power iteration with an explicit
+residual; ``_perron`` picks plain or shifted iteration by the period, so it
+runs no closure of its own.  The equality
 "dominant eigenvalue is exactly 1" is never decided in floating point: for
 an irreducible integer matrix it holds precisely when the matrix is a
 transitive permutation matrix, and that is what callers should test.
@@ -178,15 +178,13 @@ def is_irreducible(matrix: NonnegIntMatrix) -> bool:
     return all(bits == full for bits in _reach(matrix))
 
 
-def is_primitive(matrix: NonnegIntMatrix) -> bool:
-    """True when some power of the matrix is entrywise positive.
+def _period(matrix: NonnegIntMatrix) -> int:
+    """Period of an irreducible matrix: the gcd of its cycle lengths.
 
-    An irreducible matrix is primitive exactly when its period is 1.  With
-    levels from one breadth-first search from index 0, the period is the
-    gcd of level(i) + 1 - level(j) over the positive entries (i, j).
+    With levels from one breadth-first search from index 0, it is the gcd
+    of level(i) + 1 - level(j) over the positive entries (i, j).  The
+    caller has established irreducibility; this runs no closure.
     """
-    if not is_irreducible(matrix):
-        return False
     rows = matrix.rows
     level = [-1] * matrix.size
     level[0] = 0
@@ -201,7 +199,13 @@ def is_primitive(matrix: NonnegIntMatrix) -> bool:
         for j, x in enumerate(row):
             if x:
                 period = gcd(period, level[i] + 1 - level[j])
-    return period == 1
+    return period
+
+
+def is_primitive(matrix: NonnegIntMatrix) -> bool:
+    """True when some power of the matrix is entrywise positive: an
+    irreducible matrix is primitive exactly when its period is 1."""
+    return is_irreducible(matrix) and _period(matrix) == 1
 
 
 def is_transitive_permutation(matrix: NonnegIntMatrix) -> bool:
@@ -309,9 +313,9 @@ def pf_eigenvalue_via_shift(matrix: NonnegIntMatrix, tol: float = 1e-10, max_ite
 
 
 def _perron(matrix: NonnegIntMatrix) -> PFResult:
-    """Perron data of an irreducible matrix: plain power iteration when it
-    is primitive, where that converges, and iteration on I + M otherwise."""
-    return pf_eigenvalue(matrix) if is_primitive(matrix) else pf_eigenvalue_via_shift(matrix)
+    """Perron data of an irreducible matrix: plain power iteration when its
+    period is 1, where that converges, and iteration on I + M otherwise."""
+    return pf_eigenvalue(matrix) if _period(matrix) == 1 else pf_eigenvalue_via_shift(matrix)
 
 
 def int_determinant(rows: Sequence[Sequence[int]]) -> int:

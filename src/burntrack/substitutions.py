@@ -140,7 +140,7 @@ class FixedPointStream:
             )
         self._subst = subst
         self._buf: list[int] = [seed]
-        self._block: tuple[int, ...] = img[1:]
+        self._block = Word._trusted(alph, img[1:])
 
     @property
     def alphabet(self) -> Alphabet:
@@ -148,12 +148,8 @@ class FixedPointStream:
 
     def _grow(self) -> None:
         check_letters(len(self._buf) + len(self._block))
-        self._buf.extend(self._block)
-        table = self._subst._table
-        nxt: list[int] = []
-        for i in self._block:
-            nxt.extend(table[i])
-        self._block = tuple(nxt)
+        self._buf.extend(self._block.indices)
+        self._block = self._subst.apply(self._block)
 
     def prefix(self, n: int) -> Word:
         """First n letters of the fixed point."""

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burntrack.automorphisms import (
-    AbelianizationMatrix,
     BasisMap,
     Growth,
     abelianization,

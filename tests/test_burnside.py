@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from burntrack import burnside
 from burntrack.automorphisms import BasisMap, compose, polynomial_order_bound
 from burntrack.burnside import (
-    CosetTable,
-    ElementaryMove,
     EnumerationIncomplete,
     ExceedsBound,
     FiniteQuotient,

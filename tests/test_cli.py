@@ -719,3 +719,8 @@ class TestErrorExits:
         rel.write_text("a b A\n")
         result = run_process("tc", "--rank", "2", "--relators", str(rel))
         self.assert_one_error_line(*result, "relator 'abA' is not cyclically reduced")
+
+    @pytest.mark.parametrize("xi", ["1/0", "abc"])
+    def test_bad_xi_names_the_flag(self, xi):
+        result = run_process("moves", "ab", "--n", "3", "--xi", xi)
+        self.assert_one_error_line(*result, f"argument --xi: not a finite fraction: {xi!r}")

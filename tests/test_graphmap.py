@@ -1,11 +1,14 @@
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burntrack import matrices
 from burntrack.automorphisms import BasisMap, Growth, abelianization
+from burntrack.cli import main
 from burntrack.graphmap import (
     AuditReport,
     EdgePath,
@@ -426,6 +429,22 @@ class TestStrata:
         assert top.matrix.rows == ((3, 1), (1, 2))
         assert abs(top.eigenvalue - (5 + math.sqrt(5)) / 2) < 1e-9
         assert growth_classify(f) is Growth.EXPONENTIAL
+
+    def test_one_closure_per_structure_test(self, monkeypatch, capsys):
+        # psi: one closure for each permutation stratum, and for the
+        # exponential one the irreducibility test plus pf_eigenvalue's own
+        calls = []
+        reach = matrices._reach
+        monkeypatch.setattr(matrices, "_reach", lambda m: calls.append(m.size) or reach(m))
+        _, f = psi_rose()
+        classify_strata(f)
+        assert calls == [1, 1, 2, 2]
+        # a substitution's pf: the CLI's irreducibility test, then pf_eigenvalue's
+        calls.clear()
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        assert main(["-s", "demos/session.bt", "pf", "remark3"]) == 0
+        assert capsys.readouterr().out.startswith("lambda ")
+        assert len(calls) == 2
 
 
 class TestTurns:

@@ -266,6 +266,24 @@ def test_red_projection_matches_oracle(name, vertex, picks, k):
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_MAPS))
+def test_trusted_paths_are_what_the_checked_constructor_builds(name):
+    # a path holds a tuple of indices; its word is built over the graph's own alphabet
+    f = GRAPH_MAPS[name]
+    g = f.graph
+    images = [f.edge_image(i) for i in range(len(g.edge_alphabet.letters))]
+    made = []
+    for p in images:
+        made += [p, p.reverse(), f_sharp(f, p), f_sharp(f, p, 2), p * p.reverse()]
+        made += [p * q for q in images[:8] if q.origin == p.terminus]
+        for q in (p, f_sharp(f, p)):
+            made += [q[a:b] for a in range(len(q) + 1) for b in range(a, len(q) + 1)]
+    for p in made:
+        assert p == EdgePath(g, Word.from_indices(g.edge_alphabet, p.indices), at=p.origin)
+        assert type(p.indices) is tuple
+        assert p.word.indices == p.indices and p.word.alphabet == g.edge_alphabet
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_MAPS))
 def test_red_tables_are_cached_per_graph_and_height(name):
     g = GRAPH_MAPS[name].graph
     alphabets = [red_alphabet(g, k) for k in range(1, g.max_height + 1)]
