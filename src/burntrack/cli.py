@@ -33,10 +33,13 @@ in a line-oriented grammar (``#`` starts a comment, blocks end with ``end``)::
 Subcommands read one session file and answer one question each.  Results go
 to stdout and are byte-deterministic; diagnostics go to stderr.  Exit code
 0 means a definite answer, 2 an honest "could not decide within the given
-bounds" (search budget exhausted, bound exceeded, no period found up to the
-bound), 1 an error.  ``--json`` replaces the textual report with one JSON
-object carrying the same values; every number in the JSON equals the number
-printed in text mode.
+bounds", 1 an error.  An answer exits 2 exactly when its JSON ``result`` is
+``no-period`` (``period``), ``undecided`` (a ``moves --join`` search out of
+budget), ``exceeds-bound`` (``burnside-order`` past ``--max-k``) or
+``incomplete`` (``tc`` past ``--max-cosets``).  ``--json`` replaces the
+textual report with one JSON object carrying the same values; every number
+in the JSON equals the number printed in text mode.  Each object starts with
+``command``, then ``name`` for the eight subcommands that take one.
 
 Words on the command line may be written as whitespace-separated tokens
 (``a b^-1``, with ``inv(a)`` accepted) or, when unambiguous, packed as one
@@ -99,6 +102,8 @@ __all__ = ["main", "parse_session", "dump_session", "SessionFile", "SessionError
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
+# the ``result`` of each answer that was not decided within the given bounds
+_UNDECIDED_RESULTS = frozenset({"no-period", "undecided", "exceeds-bound", "incomplete"})
 
 
 class SessionError(Exception):
@@ -328,8 +333,9 @@ def _parse_word(alphabet: Alphabet, text: str) -> Word:
         raise _CliError(str(err)) from None
 
 
-def _render_word(word: Word) -> str:
-    return word.compact() if len(word) else "-"
+def _shown(word: str) -> str:
+    """A compact word as text output prints it: the empty word is ``-``."""
+    return word or "-"
 
 
 def _fmt(value: float, spec: str) -> tuple[str, float]:
@@ -365,41 +371,43 @@ def _build_parser() -> _Parser:
         dest="command", required=True, metavar="COMMAND", parser_class=_Parser
     )
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, handler, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("classify", help="growth verdict (and strata for a graph map)")
+    p = add_parser("classify", _cmd_classify, help="growth verdict (and strata for a graph map)")
     p.add_argument("name")
 
-    p = add_parser("orbit", help="iterated images of a seed word")
+    p = add_parser("orbit", _cmd_orbit, help="iterated images of a seed word")
     p.add_argument("name")
     p.add_argument("seed")
     p.add_argument("--depth", type=int, default=7)
 
-    p = add_parser("power-index", help="largest power of a subword along an orbit")
+    p = add_parser("power-index", _cmd_power_index, help="largest power of a subword along an orbit")
     p.add_argument("name")
     p.add_argument("seed")
     p.add_argument("--depth", type=int, default=10)
 
-    p = add_parser("pf", help="leading eigenvalue, eigenvector and residual")
+    p = add_parser("pf", _cmd_pf, help="leading eigenvalue, eigenvector and residual")
     p.add_argument("name")
 
-    p = add_parser("period", help="shift-periodicity of a fixed point")
+    p = add_parser("period", _cmd_period, help="shift-periodicity of a fixed point")
     p.add_argument("name")
     p.add_argument("letter")
     p.add_argument("--bound", type=int, default=20)
 
-    p = add_parser("red", help="top-stratum projection of iterated images")
+    p = add_parser("red", _cmd_red, help="top-stratum projection of iterated images")
     p.add_argument("name")
     p.add_argument("word")
     p.add_argument("--depth", type=int, default=4)
 
-    p = add_parser("audit-yellow", help="census of low-height pieces that close up")
+    p = add_parser("audit-yellow", _cmd_audit_yellow, help="census of low-height pieces that close up")
     p.add_argument("name")
     p.add_argument("edge")
     p.add_argument("--depth", type=int, default=3)
 
-    p = add_parser("moves", help="power rewrites of a word, or a join search")
+    p = add_parser("moves", _cmd_moves, help="power rewrites of a word, or a join search")
     p.add_argument("word")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--xi", type=_fraction, default="0")
@@ -408,19 +416,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=20_000)
     p.add_argument("--max-depth", type=int, default=12)
 
-    p = add_parser("burnside-order", help="order induced on a finite exponent quotient")
+    p = add_parser("burnside-order", _cmd_burnside_order, help="order induced on a finite exponent quotient")
     p.add_argument("name")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--exp", type=int, required=True)
     p.add_argument("--max-k", type=int, default=10_000)
 
-    p = add_parser("tc", help="coset enumeration for a relator file")
+    p = add_parser("tc", _cmd_tc, help="coset enumeration for a relator file")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--relators", required=True, metavar="FILE")
     p.add_argument("--max-cosets", type=int, default=1_000_000)
     p.add_argument("--csv", metavar="FILE", help="also write the coset table as CSV")
 
-    add_parser("dump", help="re-emit the session file canonically")
+    add_parser("dump", _cmd_dump, help="re-emit the session file canonically")
     return parser
 
 
@@ -485,10 +493,8 @@ def _cmd_classify(args):
             payload = {"estimate": num}
             lines = [f"estimate {text}", f"growth {verdict} ({method})"]
         return (
-            {"command": "classify", "name": args.name, "kind": kind, "determinant": det,
-             "growth": str(verdict), "method": method, **payload},
+            {"kind": kind, "determinant": det, "growth": str(verdict), "method": method, **payload},
             [f"abelianized determinant {det}", *lines],
-            EXIT_OK,
         )
     lines = []
     strata_payload = []
@@ -508,21 +514,17 @@ def _cmd_classify(args):
     verdict = growth_classify(obj)  # may raise RefinementNeeded -> error exit
     lines.append(f"growth {verdict}")
     return (
-        {"command": "classify", "name": args.name, "kind": kind,
-         "strata": strata_payload, "growth": str(verdict)},
+        {"kind": kind, "strata": strata_payload, "growth": str(verdict)},
         lines,
-        EXIT_OK,
     )
 
 
 def _cmd_orbit(args):
     words = [word.compact() for word in _iterates(args)]
-    lines = [f"{p} {w if w else '-'}" for p, w in enumerate(words, start=1)]
+    lines = [f"{p} {_shown(w)}" for p, w in enumerate(words, start=1)]
     return (
-        {"command": "orbit", "name": args.name, "seed": args.seed,
-         "depth": args.depth, "words": words},
+        {"seed": args.seed, "depth": args.depth, "words": words},
         lines,
-        EXIT_OK,
     )
 
 
@@ -530,10 +532,8 @@ def _cmd_power_index(args):
     rows = [(p, max_power_index(word)) for p, word in enumerate(_iterates(args), start=1)]
     lines = [f"{p} {k}" for p, k in rows]
     return (
-        {"command": "power-index", "name": args.name, "seed": args.seed,
-         "indices": [{"power": p, "index": k} for p, k in rows]},
+        {"seed": args.seed, "indices": [{"power": p, "index": k} for p, k in rows]},
         lines,
-        EXIT_OK,
     )
 
 
@@ -560,10 +560,9 @@ def _cmd_pf(args):
         "eigenvector " + " ".join(f"{n}={t}" for n, (t, _) in zip(names, comps)),
     ]
     return (
-        {"command": "pf", "name": args.name, "lambda": lam_num, "residual": res_num,
+        {"lambda": lam_num, "residual": res_num,
          "eigenvector": {n: v for n, (_, v) in zip(names, comps)}},
         lines,
-        EXIT_OK,
     )
 
 
@@ -573,16 +572,12 @@ def _cmd_period(args):
     if isinstance(result, Periodic):
         block = result.block.compact()
         return (
-            {"command": "period", "name": args.name, "letter": args.letter,
-             "result": "periodic", "block": block, "power": result.power},
+            {"letter": args.letter, "result": "periodic", "block": block, "power": result.power},
             [f"periodic block={block} power={result.power}"],
-            EXIT_OK,
         )
     return (
-        {"command": "period", "name": args.name, "letter": args.letter,
-         "result": "no-period", "bound": result.bound},
+        {"letter": args.letter, "result": "no-period", "bound": result.bound},
         [f"no period up to {result.bound}"],
-        EXIT_UNDECIDED,
     )
 
 
@@ -595,12 +590,10 @@ def _cmd_red(args):
     for _ in range(args.depth):
         path = f_sharp(obj, path)
         rows.append(red_projection(path).compact())
-    lines = [f"{p} {w if w else '-'}" for p, w in enumerate(rows)]
+    lines = [f"{p} {_shown(w)}" for p, w in enumerate(rows)]
     return (
-        {"command": "red", "name": args.name, "word": args.word,
-         "projections": rows},
+        {"word": args.word, "projections": rows},
         lines,
-        EXIT_OK,
     )
 
 
@@ -608,20 +601,18 @@ def _cmd_audit_yellow(args):
     _, obj = _lookup(args, ("graphmap",), "a graphmap")
     report = yellow_loop_audit(obj, args.edge, args.depth)
     lines = [
-        f"piece power={p.power} path={_render_word(p.path.word)} loop={'yes' if p.is_loop else 'no'}"
+        f"piece power={p.power} path={_shown(p.path.compact())} loop={'yes' if p.is_loop else 'no'}"
         for p in report.pieces
     ]
     loops = sum(1 for p in report.pieces if p.is_loop)
     lines.append("PASS" if report.passed else f"FAIL: {loops} yellow loops")
     return (
-        {"command": "audit-yellow", "name": args.name, "edge": args.edge,
-         "depth": args.depth, "passed": report.passed,
+        {"edge": args.edge, "depth": args.depth, "passed": report.passed,
          "pieces": [
              {"power": p.power, "path": p.path.word.compact(), "loop": p.is_loop}
              for p in report.pieces
          ]},
         lines,
-        EXIT_OK,
     )
 
 
@@ -647,7 +638,7 @@ def _cmd_moves(args):
         moves = find_elementary_moves(word, params)
         lines = move_log(moves).splitlines() or ["no moves"]
         return (
-            {"command": "moves", "word": word.compact(), "n": args.n,
+            {"word": word.compact(), "n": args.n,
              "xi": str(params.xi), "m_min": params.m_min,
              "moves": [
                  {"pos": m.run.start, "period": m.run.period.compact(),
@@ -655,7 +646,6 @@ def _cmd_moves(args):
                  for m in moves
              ]},
             lines,
-            EXIT_OK,
         )
     other = _reduced_input(alphabet, args.join)
     budget = SearchBudget(max_states=args.budget, max_depth=args.max_depth)
@@ -663,17 +653,13 @@ def _cmd_moves(args):
     if isinstance(result, Joined):
         left = move_log(result.left_moves).splitlines()
         right = move_log(result.right_moves).splitlines()
-        lines = [f"joined {_render_word(result.witness)}"]
+        lines = [f"joined {_shown(result.witness.compact())}"]
         lines += [f"left {line}" for line in left]
         lines += [f"right {line}" for line in right]
         return (
-            {"command": "moves", "result": "joined",
-             "witness": result.witness.compact(),
-             "left": left,
-             "right": right,
+            {"result": "joined", "witness": result.witness.compact(), "left": left, "right": right,
              "explored": list(result.explored)},
             lines,
-            EXIT_OK,
         )
     lines = [
         "undecided "
@@ -682,12 +668,10 @@ def _cmd_moves(args):
         f"exhausted={'yes' if result.frontier_exhausted else 'no'}"
     ]
     return (
-        {"command": "moves", "result": "undecided",
-         "explored": list(result.explored),
+        {"result": "undecided", "explored": list(result.explored),
          "depth_reached": list(result.depth_reached),
          "frontier_exhausted": result.frontier_exhausted},
         lines,
-        EXIT_UNDECIDED,
     )
 
 
@@ -697,16 +681,12 @@ def _cmd_burnside_order(args):
     result = induced_order(obj, quotient, max_k=args.max_k)
     if isinstance(result, Order):
         return (
-            {"command": "burnside-order", "name": args.name, "rank": args.rank,
-             "exp": args.exp, "order": result.value},
+            {"rank": args.rank, "exp": args.exp, "order": result.value},
             [str(result.value)],
-            EXIT_OK,
         )
     return (
-        {"command": "burnside-order", "name": args.name, "rank": args.rank,
-         "exp": args.exp, "result": "exceeds-bound", "bound": result.bound},
+        {"rank": args.rank, "exp": args.exp, "result": "exceeds-bound", "bound": result.bound},
         [f"exceeds bound {result.bound}"],
-        EXIT_UNDECIDED,
     )
 
 
@@ -742,19 +722,18 @@ def _cmd_tc(args):
                              progress=_progress_printer())
     except EnumerationIncomplete as err:
         print(f"undecided: {err}", file=sys.stderr)
-        payload = {"command": "tc", "rank": args.rank, "result": "incomplete", "live": err.live,
+        payload = {"rank": args.rank, "result": "incomplete", "live": err.live,
                    "cosets_allocated": err.allocated, "max_cosets": err.max_cosets}
-        return payload, [], EXIT_UNDECIDED
+        return payload, []
     lines = [f"order {table.size}"]
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(table.to_csv())
         lines.append(f"csv written to {args.csv}")
     return (
-        {"command": "tc", "rank": args.rank, "order": table.size,
+        {"rank": args.rank, "order": table.size,
          "cosets_allocated": table.cosets_allocated},
         lines,
-        EXIT_OK,
     )
 
 
@@ -762,41 +741,28 @@ def _cmd_dump(args):
     session = _need_session(args)
     text = dump_session(session)
     return (
-        {"command": "dump", "text": text},
+        {"text": text},
         [text.rstrip("\n")],
-        EXIT_OK,
     )
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "orbit": _cmd_orbit,
-    "power-index": _cmd_power_index,
-    "pf": _cmd_pf,
-    "period": _cmd_period,
-    "red": _cmd_red,
-    "audit-yellow": _cmd_audit_yellow,
-    "moves": _cmd_moves,
-    "burnside-order": _cmd_burnside_order,
-    "tc": _cmd_tc,
-    "dump": _cmd_dump,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, lines, code = _HANDLERS[args.command](args)
+        payload, lines = args.handler(args)
     except (_CliError, SessionError, RuntimeError, OSError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     if args.json:
-        print(json.dumps(payload))
+        head = {"command": args.command}
+        if "name" in vars(args):
+            head["name"] = args.name
+        print(json.dumps({**head, **payload}))
     else:
         for line in lines:
             print(line)
-    return code
+    return EXIT_UNDECIDED if payload.get("result") in _UNDECIDED_RESULTS else EXIT_OK
 
 
 if __name__ == "__main__":

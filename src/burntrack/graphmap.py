@@ -375,6 +375,12 @@ class EdgePath:
         return f"EdgePath({str(self)!r})"
 
 
+def _check_on_graph(graph: Graph, path: EdgePath) -> None:
+    """ValueError unless ``path`` lives on ``graph``; identity is tested first."""
+    if path._graph is not graph and path._graph != graph:
+        raise ValueError("path lives on a different graph")
+
+
 class StratifiedGraphMap(_LetterMap):
     """Graph self-map respecting the height filtration.
 
@@ -500,12 +506,14 @@ class StratifiedGraphMap(_LetterMap):
 
     def apply_raw(self, path: EdgePath) -> list[int]:
         """Letterwise image with tightening, as raw oriented indices."""
+        _check_on_graph(self._graph, path)
         if self._codes is None:
             return _tighten([self._table[i] for i in path.indices])
         return _join_images(self._codes, self._table, path.indices)
 
     def image_length_bound(self, path: EdgePath) -> int:
         """Length of the image before tightening; an upper bound after."""
+        _check_on_graph(self._graph, path)
         return _image_length(self._table, path.indices)
 
     def turn_is_legal(self, e1: int, e2: int) -> bool:
@@ -538,8 +546,7 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     """
     if power < 0:
         raise ValueError("power must be >= 0")
-    if path.graph != f.graph:
-        raise ValueError("path lives on a different graph")
+    _check_on_graph(f.graph, path)
     g = f.graph
     cur = path
     for _ in range(power):
@@ -710,6 +717,7 @@ def path_is_k_legal(f: StratifiedGraphMap, path: EdgePath, k: int) -> bool:
     Turns involving any lower edge do not count against legality at
     height k.  Consecutive letters meet at a vertex, so each turn reads the stable Df.
     """
+    _check_on_graph(f.graph, path)
     g = f.graph
     stable = f._df_stable
     seq = path.indices
@@ -961,6 +969,7 @@ def pf_length(f: StratifiedGraphMap, path: EdgePath) -> float:
     Yellow letters weigh zero, so one application of the map scales this
     length by the top eigenvalue (up to the eigenvector residual).
     """
+    _check_on_graph(f.graph, path)
     top = _single_top_exponential(f)
     if top.eigenvector is None:
         raise ValueError("no eigendata on the top stratum")

@@ -126,6 +126,7 @@ def _input_cases() -> list[list[str]]:
         ["-s", demo, "audit-yellow", "cover", "c", "--depth", "3", "--json"],
         ["-s", demo, "period", "fibw", "a", "--bound", "5"],
         ["-s", demo, "burnside-order", "dehn", "--rank", "2", "--exp", "3", "--max-k", "2"],
+        ["-s", demo, "--json", "burnside-order", "dehn", "--rank", "2", "--exp", "3", "--max-k", "2"],
         ["-s", demo, "burnside-order", "fib", "--rank", "2", "--exp", "2"],
         ["burnside-order", "fib", "--rank", "2", "--exp", "3", "-s", demo, "--json"],
         # moves
@@ -181,25 +182,36 @@ def generate() -> list[dict]:
     return [run_case(argv, cap) for argv in all_cases() for cap in CAPS]
 
 
-def check() -> int:
-    """Print each case whose run differs from ``cases.json``; 1 if any does."""
+def differences(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per run whose record differs between ``old`` and ``new``.
+
+    Each line names the run's argv and cap, then which of exit, stdout and
+    stderr differ, or that the case is new or gone.
+    """
     def by_run(cases):
         return {(tuple(case["argv"]), case["max_letters"]): case for case in cases}
 
-    old = by_run(json.loads(CORPUS.read_text(encoding="utf-8")))
-    new = by_run(generate())
-    diffs = 0
-    for run in {**new, **old}:
-        was, now = old.get(run), new.get(run)
+    old_runs, new_runs = by_run(old), by_run(new)
+    lines = []
+    for run in {**new_runs, **old_runs}:
+        was, now = old_runs.get(run), new_runs.get(run)
         if was is None or now is None:
             what = "new case" if was is None else "case gone"
         else:
             what = ", ".join(f for f in ("exit", "stdout", "stderr") if was[f] != now[f])
         if what:
-            diffs += 1
-            print(f"{list(run[0])} cap={run[1]}: {what}")
-    print(f"{diffs} of {len(new)} cases differ")
-    return 1 if diffs else 0
+            lines.append(f"{list(run[0])} cap={run[1]}: {what}")
+    return lines
+
+
+def check() -> int:
+    """Print each case whose run differs from ``cases.json``; 1 if any does."""
+    new = generate()
+    lines = differences(json.loads(CORPUS.read_text(encoding="utf-8")), new)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(new)} cases differ")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

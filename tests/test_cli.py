@@ -724,3 +724,23 @@ class TestErrorExits:
     def test_bad_xi_names_the_flag(self, xi):
         result = run_process("moves", "ab", "--n", "3", "--xi", xi)
         self.assert_one_error_line(*result, f"argument --xi: not a finite fraction: {xi!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_start",
+    [
+        (["-s", "demos/session.bt", "burnside-order", "dehn", "--rank", "2", "--exp", "3"],
+         EXIT_OK, "3\n"),
+        (["-s", "demos/session.bt", "burnside-order", "dehn", "--rank", "2", "--exp", "3",
+          "--max-k", "2"], EXIT_UNDECIDED, "exceeds bound 2\n"),
+        (["moves", "aaab", "--n", "3", "--join", "bbba", "--budget", "5"],
+         EXIT_UNDECIDED, "undecided"),
+    ],
+    ids=["order", "exceeds-bound", "undecided"],
+)
+def test_answer_exits_from_a_process(argv, code, out_start):
+    """A certified answer exits 0 and an undecided one 2, in a fresh interpreter too."""
+    got, out, err = run_process(*argv)
+    assert got == code
+    assert out.startswith(out_start)
+    assert "Traceback" not in err

@@ -344,11 +344,25 @@ class TestFSharp:
         with pytest.raises(GrowthCapExceeded):
             f_sharp(f, EdgePath(g, "d"), 30)
 
-    def test_wrong_graph(self):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            f_sharp,
+            lambda f, p: red_commutation_check(f, p, 1),
+            lambda f, p: path_is_k_legal(f, p, 3),
+            yellow_red_split,
+            pf_length,
+            StratifiedGraphMap.apply_raw,
+            StratifiedGraphMap.image_length_bound,
+        ],
+        ids=["f_sharp", "red_commutation_check", "path_is_k_legal", "yellow_red_split",
+             "pf_length", "apply_raw", "image_length_bound"],
+    )
+    def test_wrong_graph(self, entry):
         g, f = psi_rose()
         h, _ = fib_rose()
-        with pytest.raises(ValueError, match="different graph"):
-            f_sharp(f, EdgePath(h, "a"))
+        with pytest.raises(ValueError, match="^path lives on a different graph$"):
+            entry(f, EdgePath(h, "a"))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
