@@ -17,7 +17,7 @@ from importlib import import_module as _import_module
 _HOMES = {
     "automorphisms": (
         "AbelianizationMatrix", "BasisMap", "Growth", "GrowthEstimate",
-        "abelianization", "certifies_polynomial_growth", "growth_rank2",
+        "abelianization", "certifies_polynomial_growth", "decide_growth", "growth_rank2",
         "growth_rate_estimate", "letter_count_matrix", "polynomial_order_bound",
         "verify_automorphism",
     ),

@@ -7,7 +7,8 @@ of :mod:`burntrack.words`, which cancels on the fly).  On top of that
 sit the integer invariants: the abelianized matrix with its determinant
 (:func:`abelianization`), the exact exponential/polynomial dichotomy in
 rank two (:func:`growth_rank2`), a sound certificate of polynomial growth
-for any rank (:func:`certifies_polynomial_growth`), a numerical growth-rate
+for any rank (:func:`certifies_polynomial_growth`), the one growth decision
+that picks between them (:func:`decide_growth`), a numerical growth-rate
 probe for any rank (:func:`growth_rate_estimate`), and the bound on orders
 induced on finite exponent quotients by polynomially growing maps
 (:func:`polynomial_order_bound`).
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from ._records import frozen
 from .limits import check_letters
 from .matrices import NonnegIntMatrix, _pair_count_matrix, has_permutation_blocks, int_determinant
-from .words import GroupWord, InverseAlphabet, Word, _image_length, _LetterMap, _tighten, reduce
+from .words import GroupWord, InverseAlphabet, Word, _image_length, _LetterMap, _tighten, cyclic_reduce, reduce
 
 __all__ = [
     "BasisMap",
@@ -34,6 +35,7 @@ __all__ = [
     "growth_rank2",
     "letter_count_matrix",
     "certifies_polynomial_growth",
+    "decide_growth",
     "GrowthEstimate",
     "growth_rate_estimate",
     "polynomial_order_bound",
@@ -221,6 +223,29 @@ def certifies_polynomial_growth(f: BasisMap) -> bool:
     exponentially.
     """
     return has_permutation_blocks(letter_count_matrix(f))
+
+
+# the rotations of a b a^-1 b^-1 and of its inverse b a b^-1 a^-1, as letter indices
+_COMMUTATORS = frozenset(w[k:] + w[:k] for w in ((0, 2, 1, 3), (2, 0, 3, 1)) for k in range(4))
+
+
+def decide_growth(f: BasisMap) -> tuple[Growth, str] | None:
+    """Growth of f with the name of the certificate that proves it, or None.
+
+    In rank two, f is an automorphism exactly when the image of the
+    commutator a b a^-1 b^-1 is conjugate to it or to its inverse (Nielsen,
+    Math. Ann. 78, 1917); then :func:`growth_rank2` decides, as the
+    ``"trace criterion"``.  Otherwise, in any rank, a map that passes
+    :func:`certifies_polynomial_growth` (sound for every endomorphism) is
+    polynomial by ``"letter-count blocks"``.  None decides nothing.
+    """
+    if f.alphabet.rank == 2:
+        image = _tighten([f._table[i] for i in (0, 2, 1, 3)])
+        if cyclic_reduce(GroupWord._trusted(f.alphabet, image))[0].indices in _COMMUTATORS:
+            return growth_rank2(f), "trace criterion"
+    if certifies_polynomial_growth(f):
+        return Growth.POLYNOMIAL, "letter-count blocks"
+    return None
 
 
 @frozen

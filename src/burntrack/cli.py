@@ -34,9 +34,10 @@ Subcommands read one session file and answer one question each.  Results go
 to stdout and are byte-deterministic; diagnostics go to stderr.  Exit code
 0 means a definite answer, 2 an honest "could not decide within the given
 bounds", 1 an error.  An answer exits 2 exactly when its JSON ``result`` is
-``no-period`` (``period``), ``undecided`` (a ``moves --join`` search out of
-budget), ``exceeds-bound`` (``burnside-order`` past ``--max-k``) or
-``incomplete`` (``tc`` past ``--max-cosets``).  ``--json`` replaces the
+``no-period`` (``period``), ``undecided`` (``classify`` on an ``autom`` that
+no certificate decides, or a ``moves --join`` search out of budget),
+``exceeds-bound`` (``burnside-order`` past ``--max-k``) or ``incomplete``
+(``tc`` past ``--max-cosets``).  ``--json`` replaces the
 textual report with one JSON object carrying the same values; every number
 in the JSON equals the number printed in text mode.  Each object starts with
 ``command``, then ``name`` for the eight subcommands that take one.
@@ -55,14 +56,7 @@ import time
 import warnings
 from fractions import Fraction
 
-from .automorphisms import (
-    BasisMap,
-    Growth,
-    abelianization,
-    certifies_polynomial_growth,
-    growth_rank2,
-    growth_rate_estimate,
-)
+from .automorphisms import BasisMap, abelianization, decide_growth
 from .burnside import (
     EnumerationIncomplete,
     Joined,
@@ -478,22 +472,18 @@ def _cmd_classify(args):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # parse_session reported a bad determinant
             det = abelianization(obj).det
-            rank2 = growth_rank2(obj) if obj.alphabet.rank == 2 else None
-        if rank2 is not None:
-            verdict, method, payload = rank2, "trace criterion", {}
-            lines = [f"growth {verdict} ({method})"]
-        elif certifies_polynomial_growth(obj):
-            verdict, method, payload = Growth.POLYNOMIAL, "letter-count blocks", {}
-            lines = [f"growth {verdict}", f"method {method}"]
+        answer = decide_growth(obj)
+        if answer is None:
+            payload, lines = {"result": "undecided"}, ["growth undecided"]
         else:
-            est = growth_rate_estimate(obj)
-            verdict = Growth.EXPONENTIAL if est.estimate > 1.01 else Growth.POLYNOMIAL
-            method = "growth estimate"
-            text, num = _fmt(est.estimate, ".6f")
-            payload = {"estimate": num}
-            lines = [f"estimate {text}", f"growth {verdict} ({method})"]
+            verdict, method = answer
+            payload = {"growth": str(verdict), "method": method}
+            if method == "trace criterion":
+                lines = [f"growth {verdict} ({method})"]
+            else:
+                lines = [f"growth {verdict}", f"method {method}"]
         return (
-            {"kind": kind, "determinant": det, "growth": str(verdict), "method": method, **payload},
+            {"kind": kind, "determinant": det, **payload},
             [f"abelianized determinant {det}", *lines],
         )
     lines = []

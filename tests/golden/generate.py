@@ -170,6 +170,9 @@ def _input_cases() -> list[list[str]]:
     cases.append(["-s", f"{INPUTS}/comments.bt", "classify", "rose"])
     cases.append(["-s", f"{INPUTS}/singular.bt", "classify", "dbl"])
     cases.append(["-s", f"{INPUTS}/singular.bt", "--json", "classify", "dbl"])
+    for name in ("notaut", "conj", "u", "iu", "fibc"):
+        cases.append(["-s", f"{INPUTS}/verdicts.bt", "classify", name])
+        cases.append(["-s", f"{INPUTS}/verdicts.bt", "--json", "classify", name])
     return cases
 
 

@@ -253,3 +253,47 @@ def base_words_bruteforce(width: int, length: int) -> list[tuple[int, ...]]:
         if least:
             out.append(w)
     return out
+
+
+def generates_free_group_bruteforce(u: Sequence[int], v: Sequence[int]) -> bool:
+    """True when the reduced words u and v generate the free group of rank two.
+
+    Letters are 0 .. 3 with 2p + 1 the inverse of 2p.  Stallings folding:
+    glue one loop per word at the base vertex 0, one edge per letter, then
+    merge the far ends of any two edges with the same label that leave one
+    vertex or enter one vertex, until no such pair is left.  The subgroup
+    is the whole group exactly when the folded graph is the rose: the one
+    vertex 0 with one loop for each of the letters 0 and 2.
+    """
+    edges = set()  # (tail, positive letter, head)
+    fresh = 1
+    for word in (u, v):
+        here = 0
+        for k, x in enumerate(word):
+            if k == len(word) - 1:
+                there = 0
+            else:
+                there = fresh
+                fresh += 1
+            if x & 1:
+                edges.add((there, x - 1, here))
+            else:
+                edges.add((here, x, there))
+            here = there
+    folded = False
+    while not folded:
+        folded = True
+        for e in edges:
+            for g in edges:
+                if e != g and e[1] == g[1] and (e[0] == g[0] or e[2] == g[2]):
+                    ends = (e[2], g[2]) if e[0] == g[0] else (e[0], g[0])
+                    keep, gone = min(ends), max(ends)
+                    folded = False
+                    break
+            if not folded:
+                break
+        if not folded:
+            edges = {
+                (keep if t == gone else t, x, keep if h == gone else h) for t, x, h in edges
+            }
+    return edges == {(0, 0, 0), (0, 2, 0)}

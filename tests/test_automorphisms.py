@@ -1,5 +1,6 @@
 """Free group endomorphisms: application, inverses, abelianized growth."""
 
+import random
 import warnings
 
 import pytest
@@ -12,6 +13,7 @@ from burntrack.automorphisms import (
     abelianization,
     certifies_polynomial_growth,
     compose,
+    decide_growth,
     growth_rank2,
     growth_rate_estimate,
     letter_count_matrix,
@@ -20,6 +22,8 @@ from burntrack.automorphisms import (
 )
 from burntrack.limits import GrowthCapExceeded
 from burntrack.words import GroupWord, InverseAlphabet, Word, flip, reduce
+
+from .oracles import generates_free_group_bruteforce
 
 FREE2 = InverseAlphabet("ab")
 FREE4 = InverseAlphabet("abcd")
@@ -283,6 +287,96 @@ class TestPolynomialCertificate:
             f = compose(NIELSEN2[k], f)
         if certifies_polynomial_growth(f):
             assert growth_rank2(f) is Growth.POLYNOMIAL
+
+
+def nielsen_moves(alph):
+    """(move, inverse) pairs that generate the automorphisms: inversions, swaps, transvections."""
+    xs = alph.positive_letters
+    moves = []
+    for x in xs:
+        inversion = BasisMap(alph, {z: f"{z}^-1" if z == x else z for z in xs})
+        moves.append((inversion, inversion))
+        for y in xs:
+            if x < y:
+                swap = BasisMap(alph, {z: y if z == x else x if z == y else z for z in xs})
+                moves.append((swap, swap))
+            if x != y:
+                moves.append(tuple(
+                    BasisMap(alph, {z: f"{x} {y}{e}" if z == x else z for z in xs}) for e in ("", "^-1")
+                ))
+    return moves
+
+
+MOVES = {FREE2: nielsen_moves(FREE2), FREE3: nielsen_moves(FREE3)}
+
+
+def nielsen_product(alph, picks):
+    """The product of the picked moves, applied first to last, and its inverse."""
+    f = g = BasisMap.identity(alph)
+    for k in picks:
+        move, inverse = MOVES[alph][k]
+        f, g = compose(move, f), compose(g, inverse)
+    return f, g
+
+
+def conjugated(f, w):
+    """i_w after f: x -> w f(x) w^-1."""
+    return BasisMap(f.alphabet, {x: w * f.image(x) * flip(w) for x in f.alphabet.positive_letters})
+
+
+def reduced_word(rng, alph, length):
+    seq = []
+    while len(seq) < length:
+        x = rng.randrange(2 * alph.rank)
+        if not seq or seq[-1] != x ^ 1:
+            seq.append(x)
+    return GroupWord.from_indices(alph, seq)
+
+
+class TestDecideGrowth:
+    def test_examples(self):
+        assert decide_growth(FIB) == (Growth.EXPONENTIAL, "trace criterion")
+        assert decide_growth(SWAP) == (Growth.POLYNOMIAL, "trace criterion")
+        assert decide_growth(TRI) == (Growth.POLYNOMIAL, "letter-count blocks")
+        assert decide_growth(PSI) is None
+        # not automorphisms, so no trace criterion: a -> a a has determinant 2, and
+        # a -> a, b -> b a b a^-1 b^-1 has determinant 1 but is not onto
+        assert decide_growth(BasisMap(FREE2, {"a": "a a", "b": "b"})) is None
+        assert decide_growth(BasisMap(FREE2, {"a": "a", "b": "b a b a^-1 b^-1"})) is None
+        assert decide_growth(BasisMap(FREE2, {"a": "a", "b": "a"})) == (
+            Growth.POLYNOMIAL, "letter-count blocks",
+        )
+
+    def test_nielsen_premise_against_folding(self):
+        # the trace criterion applies exactly when the images of a and b fold to the rose
+        rng = random.Random(2017)
+        bases = 0
+        for trial in range(2000):
+            if trial % 2:
+                picks = [rng.randrange(len(MOVES[FREE2])) for _ in range(rng.randint(1, 8))]
+                f = conjugated(nielsen_product(FREE2, picks)[0], reduced_word(rng, FREE2, rng.randint(0, 2)))
+            else:
+                f = BasisMap(FREE2, {x: reduced_word(rng, FREE2, rng.randint(1, 6)) for x in "ab"})
+            basis = generates_free_group_bruteforce(f.letter_image(0), f.letter_image(2))
+            assert ((decide_growth(f) or (None, None))[1] == "trace criterion") == basis
+            bases += basis
+        assert 1000 < bases < 2000
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([FREE2, FREE3]).flatmap(lambda alph: st.tuples(
+        st.just(alph),
+        st.lists(st.integers(0, len(MOVES[alph]) - 1), max_size=6),
+        st.lists(st.integers(0, 2 * alph.rank - 1), max_size=3),
+        st.lists(st.integers(0, len(MOVES[alph]) - 1), max_size=4),
+    )))
+    def test_same_growth_across_the_outer_class(self, case):
+        # f, i_w after f and h f h^-1 are one outer automorphism, so they grow alike
+        alph, f_picks, w, h_picks = case
+        f = nielsen_product(alph, f_picks)[0]
+        h, h_inv = nielsen_product(alph, h_picks)
+        assert compose(h, h_inv) == BasisMap.identity(alph)
+        maps = (f, conjugated(f, reduce(Word.from_indices(alph, w))), compose(h, compose(f, h_inv)))
+        assert len({answer[0] for answer in map(decide_growth, maps) if answer}) <= 1
 
 
 class TestOrderBound:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from burntrack.automorphisms import BasisMap
+from burntrack.automorphisms import BasisMap, decide_growth
 from burntrack.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -210,9 +210,9 @@ class TestSessionParse:
         p.write_text("alphabet A inverse a b\nautom dbl over A\n  a -> a a\n  b -> b\nend\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["-s", str(p), "classify", "dbl"]) == 0
+            assert main(["-s", str(p), "classify", "dbl"]) == EXIT_UNDECIDED
         out, err = capsys.readouterr()
-        assert out == "abelianized determinant 2\ngrowth exponential (trace criterion)\n"
+        assert out == "abelianized determinant 2\ngrowth undecided\n"
         assert err == f"{p}:2: warning: abelianized determinant is 2, so this map is not invertible\n"
 
     def test_graphmap_warning_carries_location(self, tmp_path, capsys):
@@ -389,15 +389,50 @@ class TestClassify:
         assert "aperiodic=yes" in lines[2]
         assert lines[3] == "growth exponential"
 
-    def test_rank3_uses_estimate(self, tmp_path, capsys):
+    def test_rank3_without_certificate_is_undecided(self, tmp_path, capsys):
+        # exponential, but neither certificate applies; the length ratio is no proof
         p = tmp_path / "r3.bt"
         p.write_text(
             "alphabet F3 inverse a b c\n"
             "autom g over F3\n  a -> a b\n  b -> a\n  c -> c\nend\n"
         )
         code, out, _ = run(capsys, "-s", str(p), "classify", "g")
+        assert code == EXIT_UNDECIDED
+        assert out.splitlines() == ["abelianized determinant -1", "growth undecided"]
+        code, out, _ = run(capsys, "-s", str(p), "classify", "g", "--json")
+        assert code == EXIT_UNDECIDED
+        assert json.loads(out) == {
+            "command": "classify", "name": "g", "kind": "autom", "determinant": -1,
+            "result": "undecided",
+        }
+
+    def test_one_outer_class_never_gets_two_growths(self, capsys):
+        # iu is u followed by conjugation by b c, so both grow polynomially;
+        # without a certificate for iu, classify must not call it anything
+        verdicts = "tests/golden/inputs/verdicts.bt"
+        code, out, _ = run(capsys, "-s", str(ROOT / verdicts), "classify", "u")
         assert code == EXIT_OK
-        assert "growth estimate" in out and "estimate " in out
+        assert out.splitlines()[1:] == ["growth polynomial", "method letter-count blocks"]
+        code, out, _ = run(capsys, "-s", str(ROOT / verdicts), "classify", "iu")
+        assert code == EXIT_UNDECIDED
+        assert out.splitlines()[1:] == ["growth undecided"]
+
+    @pytest.mark.parametrize(
+        "session", ["demos/session.bt", "bench/session.bt", "tests/golden/inputs/verdicts.bt"]
+    )
+    def test_reports_what_decide_growth_returns(self, session, capsys):
+        path = str(ROOT / session)
+        automs = [(name, obj) for name, (kind, obj) in parse_session(path).objects.items() if kind == "autom"]
+        assert automs
+        for name, obj in automs:
+            code, out, _ = run(capsys, "-s", path, "classify", name, "--json")
+            data = json.loads(out)
+            answer = decide_growth(obj)
+            if answer is None:
+                assert (code, data["result"]) == (EXIT_UNDECIDED, "undecided")
+                assert "growth" not in data and "method" not in data
+            else:
+                assert (code, data["growth"], data["method"]) == (EXIT_OK, str(answer[0]), answer[1])
 
     def test_rank3_triangular_is_certified_polynomial(self, tmp_path, capsys):
         # the estimate reads 1.16 here; the letter-count blocks are all 1x1 ones
