@@ -56,10 +56,6 @@ class NonnegIntMatrix:
     def identity(cls, n: int) -> "NonnegIntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, n: int) -> "NonnegIntMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
-
     @property
     def size(self) -> int:
         return len(self._rows)
@@ -74,9 +70,6 @@ class NonnegIntMatrix:
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
-
-    def trace(self) -> int:
-        return sum(self._rows[i][i] for i in range(self.size))
 
     def __add__(self, other: "NonnegIntMatrix") -> "NonnegIntMatrix":
         if not isinstance(other, NonnegIntMatrix):
@@ -95,7 +88,6 @@ class NonnegIntMatrix:
             return NotImplemented
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
         cols = tuple(zip(*other._rows))
         return NonnegIntMatrix(
             tuple(
@@ -103,18 +95,6 @@ class NonnegIntMatrix:
                 for row in self._rows
             )
         )
-
-    def __pow__(self, p: int) -> "NonnegIntMatrix":
-        if p < 0:
-            raise ValueError("negative matrix powers are not defined here")
-        result = NonnegIntMatrix.identity(self.size)
-        base = self
-        while p:
-            if p & 1:
-                result = result * base
-            base = base * base if p > 1 else base
-            p >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NonnegIntMatrix):

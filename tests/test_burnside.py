@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from burntrack import burnside
 from burntrack.automorphisms import BasisMap, compose, polynomial_order_bound
 from burntrack.burnside import (
+    CosetTable,
     EnumerationIncomplete,
     ExceedsBound,
     FiniteQuotient,
@@ -405,6 +406,89 @@ class TestToddCoxeter:
         assert all(live == a for a, live in seen)  # a a never collapses a coset
 
 
+# the cyclic group of order 3 over one generator, in standard form
+Z3_ROWS = [[1, 2], [2, 0], [0, 1]]
+
+
+def b23_rows():
+    t = burnside_oracle(2, 3).table
+    return [[t.step(c, x) for x in range(4)] for c in range(t.size)]
+
+
+class TestCosetTable:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[1, 2, 0], [2, 0], [0, 1]],  # a row of the wrong width
+            [[1, 2], [2, 0, 1], [0, 1]],
+            [[1, 3], [2, 0], [0, 1]],  # an entry past the last row
+            [[1, 2], [2, -1], [0, 1]],
+            [[1, 2], [None, 0], [0, 1]],  # an open entry in a reached row
+            [[1, 2], [2.0, 0], [0, 1]],
+        ],
+        ids=["empty", "wide", "narrow", "past-end", "negative", "open", "float"],
+    )
+    def test_malformed_rows_raise(self, rows):
+        with pytest.raises(ValueError, match="malformed coset table"):
+            CosetTable(InverseAlphabet("a"), rows, allocated=3)
+
+    def test_standard_table_comes_back_unchanged(self):
+        t = CosetTable(InverseAlphabet("a"), Z3_ROWS, allocated=3)
+        assert [[t.step(c, x) for x in range(2)] for c in range(3)] == Z3_ROWS
+        assert t.spanning_tree() == ([0, 0, 0], [-1, 0, 1])
+
+    def test_permuted_table_is_renumbered(self):
+        q = burnside_oracle(2, 3)
+        rows = b23_rows()
+        new = list(range(1, len(rows)))
+        random.Random(5).shuffle(new)
+        new = [0] + new  # row c becomes row new[c]; 0 stays the subgroup
+        permuted = [None] * len(rows)
+        for c, row in enumerate(rows):
+            permuted[new[c]] = [new[d] for d in row]
+        assert permuted != rows
+        t = CosetTable(F2, permuted, allocated=q.table.cosets_allocated)
+        assert t.to_csv() == q.table.to_csv()
+        assert t.spanning_tree() == q.table.spanning_tree()
+
+    def test_unreached_rows_are_dropped(self):
+        q = burnside_oracle(2, 3)
+        rows = b23_rows()
+        # a closed row nothing points to, and a row collapsed to nothing
+        extra = rows + [[0, 0, 0, 0], [None] * 4]
+        t = CosetTable(F2, extra, allocated=len(extra))
+        assert t.size == q.order
+        assert t.to_csv() == q.table.to_csv()
+        assert t.cosets_allocated == len(extra)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda q, c, x: q.table.step(c, 0),
+            lambda q, c, x: q.table.step(0, x),
+            lambda q, c, x: q.table.trace(c, [0, 1]),
+            lambda q, c, x: q.table.trace(0, [0, x]),
+            lambda q, c, x: q.table.rep_letters(c),
+            lambda q, c, x: q.rep_word(c),
+            lambda q, c, x: q.multiply(c, 1),
+            lambda q, c, x: q.multiply(1, c),
+            lambda q, c, x: q.inverse(c),
+        ],
+        ids=[
+            "step-coset", "step-letter", "trace-coset", "trace-letter", "rep_letters",
+            "rep_word", "multiply-left", "multiply-right", "inverse",
+        ],
+    )
+    @pytest.mark.parametrize("end", ["below", "above"])
+    def test_numbers_outside_the_table_raise(self, entry, end):
+        # -1 would index from the end and size past it
+        q = burnside_oracle(2, 3)
+        coset, letter = (-1, -1) if end == "below" else (q.order, len(q.alphabet.letters))
+        with pytest.raises(ValueError, match=r"range\("):
+            entry(q, coset, letter)
+
+
 class TestOracle:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_base_words_match_bruteforce(self, rank):
@@ -477,6 +561,7 @@ class TestOracle:
         for e in range(q.order):
             assert list(words[e].indices) == q.table.rep_letters(e)
             if e:
+                assert parents[e] < e
                 assert q.table.step(parents[e], letters[e]) == e
                 assert len(words[parents[e]]) == len(words[e]) - 1
 

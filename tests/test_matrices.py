@@ -22,6 +22,7 @@ from burntrack.matrices import (
 )
 
 from .oracles import (
+    _boolean_product,
     irreducible_bruteforce,
     primitive_bruteforce,
     spectral_radius_above_one_bruteforce,
@@ -48,23 +49,15 @@ class TestMatrixArithmetic:
 
     def test_basic_ops(self):
         assert (FIB * FIB).rows == ((2, 1), (1, 1))
-        assert (FIB ** 3).rows == ((3, 2), (2, 1))
-        assert (FIB ** 0) == NonnegIntMatrix.identity(2)
         assert (FIB + SWAP).rows == ((1, 2), (2, 0))
-        assert FIB.trace() == 1
         assert FIB.entry(0, 1) == 1
-        assert NonnegIntMatrix.zero(2).is_zero and not FIB.is_zero
+        assert NonnegIntMatrix([[0, 0], [0, 0]]).is_zero and not FIB.is_zero
         assert str(FIB) == "1 1\n1 0"
 
     def test_equality_and_hash(self):
         assert FIB == NonnegIntMatrix([[1, 1], [1, 0]])
         assert hash(FIB) == hash(NonnegIntMatrix([[1, 1], [1, 0]]))
         assert FIB != SWAP
-
-    @given(st.integers(0, 6), st.integers(0, 6))
-    @settings(max_examples=30)
-    def test_power_is_homomorphic(self, a, b):
-        assert FIB ** (a + b) == (FIB ** a) * (FIB ** b)
 
 
 class TestStructure:
@@ -88,10 +81,12 @@ class TestStructure:
 
     def test_wielandt_bound_is_sharp_here(self):
         # (M^4 still has zeros, M^5 is positive) pins the exponent logic
-        m4 = WIELANDT3 ** 4
-        assert any(x == 0 for row in m4.rows for x in row)
-        m5 = WIELANDT3 ** 5
-        assert all(x > 0 for row in m5.rows for x in row)
+        power = WIELANDT3.rows
+        for _ in range(3):
+            power = _boolean_product(power, WIELANDT3.rows)
+        assert any(x == 0 for row in power for x in row)
+        power = _boolean_product(power, WIELANDT3.rows)
+        assert all(x > 0 for row in power for x in row)
 
     def test_transitive_permutation(self):
         assert is_transitive_permutation(SWAP)
@@ -143,7 +138,7 @@ class TestStructureOracles:
 class TestPermutationBlocks:
     def test_examples(self):
         assert has_permutation_blocks(SWAP) and has_permutation_blocks(CYCLE3)
-        assert has_permutation_blocks(NonnegIntMatrix.zero(3))
+        assert has_permutation_blocks(NonnegIntMatrix([[0] * 3] * 3))
         # unipotent, triangular: every block is a 1 on the diagonal
         assert has_permutation_blocks(NonnegIntMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
         # nilpotent with a weight 2 between blocks: still polynomial
