@@ -74,11 +74,13 @@ class BasisMap(_LetterMap):
         Raises :class:`GrowthCapExceeded` before building anything when the
         image before cancellation would be longer than the letter cap.
         """
-        if word.alphabet != self._alphabet:
+        alph = word._alphabet
+        if alph is not self._alphabet and alph != self._alphabet:
             raise ValueError("word is over a different alphabet")
-        self._check_growth(word.indices)
+        seq = word._seq
+        self._check_growth(seq)
         table = self._table
-        return GroupWord._trusted(self._alphabet, _tighten([table[i] for i in word.indices]))
+        return GroupWord._trusted(self._alphabet, _tighten([table[i] for i in seq]))
 
     __call__ = apply
 

@@ -388,7 +388,17 @@ class CosetTable:
         return self._rows[coset][letter]
 
     def trace(self, coset: int, word: Word | Sequence[int]) -> int:
-        indices = word.indices if isinstance(word, Word) else word
+        """Coset reached from ``coset`` along a word or raw letter indices.
+
+        A ``Word`` must be over the table's alphabet; raw indices are only
+        range-checked.
+        """
+        if isinstance(word, Word):
+            if word.alphabet != self._alphabet:
+                raise ValueError(f"word must be over letters {self._alphabet.positive_letters!r}")
+            indices = word.indices
+        else:
+            indices = word
         self._check(coset, indices)
         c = coset
         rows = self._rows
@@ -402,9 +412,11 @@ class CosetTable:
         For every coset d but 0, the tree edge into d leaves ``parents[d]``
         by letter ``letters[d]``, so ``step(parents[d], letters[d]) == d``;
         entry 0 is (0, -1).  Following the parents from d back to 0 reads
-        d's representative letters backwards.  Recorded by the constructor.
+        d's representative letters backwards.  Recorded by the constructor;
+        the lists returned are fresh copies, so editing them leaves the
+        table as it is.
         """
-        return self._parents, self._letters
+        return list(self._parents), list(self._letters)
 
     def rep_letters(self, coset: int) -> list[int]:
         """Letters of the shortest (then letter-order first) word from 0 to the coset."""
@@ -649,9 +661,10 @@ class FiniteQuotient:
         return True
 
     def eval_word(self, word: Word) -> int:
-        """Image of a word, reduced or not, as an element number."""
-        if word.alphabet != self.alphabet:
-            raise ValueError(f"word must be over letters {self.alphabet.positive_letters!r}")
+        """Image of a word, reduced or not, as an element number.
+
+        The table's :meth:`CosetTable.trace` rejects a word over another alphabet.
+        """
         return self._table.trace(0, word)
 
     def rep_word(self, element: int) -> GroupWord:

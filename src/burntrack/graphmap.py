@@ -508,8 +508,8 @@ class StratifiedGraphMap(_LetterMap):
         """Letterwise image with tightening, as raw oriented indices."""
         _check_on_graph(self._graph, path)
         if self._codes is None:
-            return _tighten([self._table[i] for i in path.indices])
-        return _join_images(self._codes, self._table, path.indices)
+            return _tighten([self._table[i] for i in path._seq])
+        return _join_images(self._codes, self._table, path._seq)
 
     def image_length_bound(self, path: EdgePath) -> int:
         """Length of the image before tightening; an upper bound after."""
@@ -546,12 +546,13 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     """
     if power < 0:
         raise ValueError("power must be >= 0")
-    _check_on_graph(f.graph, path)
-    g = f.graph
+    g = f._graph
+    _check_on_graph(g, path)
+    vmap = f._vmap
     cur = path
     for _ in range(power):
-        f._check_growth(cur.indices)
-        cur = EdgePath._make(g, f.apply_raw(cur), f.vertex_image(cur.origin))
+        f._check_growth(cur._seq)
+        cur = EdgePath._make(g, f.apply_raw(cur), vmap[cur._origin])
     return cur
 
 
@@ -850,11 +851,11 @@ def red_projection(path: EdgePath, k: int | None = None) -> Word:
     reduced: deleting yellow letters can bring an edge next to its own
     reverse.
     """
-    g = path.graph
-    red, index, translate, delete = g._red_table(g.max_height if k is None else k)
+    g = path._graph
+    red, index, translate, delete = g._red.get(k) or g._red_table(g.max_height if k is None else k)
     if translate is None:
-        return Word._trusted(red, [j for j in map(index.__getitem__, path.indices) if j >= 0])
-    return Word._trusted(red, bytes(path.indices).translate(translate, delete))
+        return Word._trusted(red, [j for j in map(index.__getitem__, path._seq) if j >= 0])
+    return Word._trusted(red, bytes(path._seq).translate(translate, delete))
 
 
 def _exponential_stratum(f: StratifiedGraphMap) -> StratumReport:

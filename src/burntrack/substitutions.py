@@ -66,11 +66,12 @@ class Substitution(_LetterMap):
 
     def apply(self, word: Word) -> Word:
         """One application; pure concatenation of letter images."""
-        if word.alphabet != self._alphabet:
+        alph = word._alphabet
+        if alph is not self._alphabet and alph != self._alphabet:
             raise ValueError("word is over a different alphabet")
         table = self._table
         out: list[int] = []
-        for i in word.indices:
+        for i in word._seq:
             out.extend(table[i])
         return Word._trusted(self._alphabet, out)
 

@@ -308,7 +308,8 @@ class Word:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self._seq == other._seq and self._alphabet == other._alphabet
+        a, b = self._alphabet, other._alphabet
+        return self._seq == other._seq and (a is b or a == b)
 
     def __hash__(self) -> int:
         return hash((self._alphabet, self._seq))

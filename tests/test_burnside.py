@@ -547,6 +547,23 @@ class TestOracle:
         with pytest.raises(ValueError, match="letters"):
             q.eval_word(Word.parse(InverseAlphabet("xy"), "x"))
 
+    def test_trace_rejects_a_word_over_another_alphabet(self):
+        q = burnside_oracle(2, 3)
+        with pytest.raises(ValueError, match="letters"):
+            q.table.trace(0, Word.parse(InverseAlphabet("xy"), "x y"))
+        # an equal alphabet built apart is the same alphabet; raw indices are only range-checked
+        same = q.table.trace(0, Word.parse(InverseAlphabet("ab"), "a b"))
+        assert same == q.table.trace(0, [0, 2]) == q.eval_word(gw("a b"))
+
+    def test_spanning_tree_hands_out_copies(self):
+        q = burnside_oracle(2, 3)
+        before = [q.rep_word(e) for e in range(q.order)]
+        parents, letters = q.table.spanning_tree()
+        parents[5] = 0
+        letters[5] = 3
+        assert [q.rep_word(e) for e in range(q.order)] == before
+        assert q.table.spanning_tree() != (parents, letters)
+
     def test_rep_round_trip(self):
         q = burnside_oracle(2, 3)
         for e in range(q.order):

@@ -744,6 +744,18 @@ class TestErrorExits:
             *result, "BURNTRACK_MAX_LETTERS must be an integer, got 'abc'"
         )
 
+    def test_letter_cap_set_at_start_stops_f_sharp(self):
+        # the variable is in the environment before the interpreter starts
+        result = run_process(
+            "-s", "demos/session.bt", "red", "psi", "c d", "--depth", "12",
+            BURNTRACK_MAX_LETTERS="1000",
+        )
+        self.assert_one_error_line(
+            *result,
+            "expansion needs at least 1504 letters but the cap is 1000; "
+            "set BURNTRACK_MAX_LETTERS to raise it",
+        )
+
     @pytest.mark.parametrize("flag", ["--budget", "--max-depth"])
     def test_zero_search_budget(self, flag):
         result = run_process("moves", "ab", "--n", "3", "--join", "ba", flag, "0")

@@ -78,6 +78,11 @@ def test_letter_cap_reads_the_environment(monkeypatch):
     assert letter_cap() == DEFAULT_MAX_LETTERS
     monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "123")
     assert letter_cap() == 123
+    # nothing is cached: each read sees the environment as it is now
+    monkeypatch.delenv("BURNTRACK_MAX_LETTERS")
+    assert letter_cap() == DEFAULT_MAX_LETTERS
+    monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "123")
+    assert letter_cap() == 123
     for bad in ("abc", "0", "-5"):
         monkeypatch.setenv("BURNTRACK_MAX_LETTERS", bad)
         with pytest.raises(ValueError, match="BURNTRACK_MAX_LETTERS"):

@@ -107,6 +107,15 @@ class TestApplication:
         with pytest.raises(ValueError):
             FIB.iterate(Word(AB, "a"), 2)
 
+    def test_apply_checks_the_alphabet_by_value(self):
+        twin = Alphabet(["a", "b"])
+        assert twin is not AB
+        assert FIB.apply(Word.parse(twin, "a b")) == Word.parse(AB, "a b a")
+        with pytest.raises(ValueError, match="different alphabet"):
+            FIB.apply(Word.parse(Alphabet(["a", "c"]), "a"))
+        with pytest.raises(ValueError, match="different alphabet"):
+            FIB.apply(Word.parse(InverseAlphabet(["a", "b"]), "a"))
+
     @given(st.lists(st.integers(0, 3), max_size=30))
     def test_flip_equivariance(self, seq):
         free = InverseAlphabet("ab")

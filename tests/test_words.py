@@ -154,6 +154,13 @@ class TestWords:
         with pytest.raises(ValueError):
             word("ab") * Word(FREE2, ["a", "b"])
 
+    def test_equal_over_a_distinct_but_equal_alphabet(self):
+        twin = InverseAlphabet(["a", "b"])
+        assert twin is not FREE2
+        assert Word.parse(twin, "a b^-1") == Word.parse(FREE2, "a b^-1")
+        assert Word.parse(twin, "a b") != Word.parse(FREE2, "a b^-1")
+        assert Word.parse(InverseAlphabet(["a", "c"]), "a") != Word.parse(FREE2, "a")
+
     def test_slicing(self):
         w = word("abab")
         assert w[1:3].letters == ("b", "a")
