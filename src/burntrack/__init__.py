@@ -1,8 +1,8 @@
 """Words, substitutions, train track maps, and finite exponent quotients.
 
-The flat namespace re-exports the working vocabulary.  Two names stay
-qualified because both submodules define one: ``substitutions.compose``
-and ``automorphisms.compose``.
+The flat namespace re-exports the working vocabulary.  ``compose`` is
+the one composition of letter maps in :mod:`burntrack.words`, which
+``substitutions`` and ``automorphisms`` re-export under the same name.
 
 Names resolve lazily (PEP 562): ``import burntrack`` loads no submodule,
 and ``burntrack.X`` imports the one module that defines X on first use.
@@ -47,7 +47,7 @@ _HOMES = {
         "fixed_point_prefix", "orbit", "orbit_power_index", "orientability",
     ),
     "words": (
-        "Alphabet", "GroupWord", "InverseAlphabet", "PowerRun", "Word", "cyclic_reduce",
+        "Alphabet", "GroupWord", "InverseAlphabet", "PowerRun", "Word", "compose", "cyclic_reduce",
         "find_power_runs", "flip", "max_power_index", "primitive_root", "reduce",
     ),
 }

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from ._records import frozen
 from .limits import check_letters
 from .matrices import NonnegIntMatrix, _pair_count_matrix, has_permutation_blocks, int_determinant
-from .words import GroupWord, InverseAlphabet, Word, _image_length, _LetterMap, _tighten, cyclic_reduce, reduce
+from .words import GroupWord, InverseAlphabet, Word, _image_length, _LetterMap, compose, cyclic_reduce, reduce
 
 __all__ = [
     "BasisMap",
@@ -77,10 +77,7 @@ class BasisMap(_LetterMap):
         alph = word._alphabet
         if alph is not self._alphabet and alph != self._alphabet:
             raise ValueError("word is over a different alphabet")
-        seq = word._seq
-        self._check_growth(seq)
-        table = self._table
-        return GroupWord._trusted(self._alphabet, _tighten([table[i] for i in seq]))
+        return GroupWord._trusted(self._alphabet, self._tight_image(word._seq))
 
     __call__ = apply
 
@@ -97,21 +94,6 @@ class BasisMap(_LetterMap):
             if p:
                 base = compose(base, base)
         return result
-
-
-def compose(outer: BasisMap, inner: BasisMap) -> BasisMap:
-    """The map sending x to outer(inner(x))."""
-    if outer.alphabet != inner.alphabet:
-        raise ValueError("can only compose maps over the same alphabet")
-    alph = outer.alphabet
-    images = {}
-    total = 0
-    for name in alph.positive_letters:
-        src = inner.image(name)
-        total += _image_length(outer._table, src.indices)
-        check_letters(total)
-        images[name] = outer.apply(src)
-    return BasisMap(alph, images)
 
 
 def verify_automorphism(f: BasisMap, inverse: BasisMap) -> bool:
@@ -242,8 +224,8 @@ def decide_growth(f: BasisMap) -> tuple[Growth, str] | None:
     polynomial by ``"letter-count blocks"``.  None decides nothing.
     """
     if f.alphabet.rank == 2:
-        image = _tighten([f._table[i] for i in (0, 2, 1, 3)])
-        if cyclic_reduce(GroupWord._trusted(f.alphabet, image))[0].indices in _COMMUTATORS:
+        image = GroupWord._trusted(f.alphabet, f._tight_image((0, 2, 1, 3)))
+        if cyclic_reduce(image)[0].indices in _COMMUTATORS:
             return growth_rank2(f), "trace criterion"
     if certifies_polynomial_growth(f):
         return Growth.POLYNOMIAL, "letter-count blocks"

@@ -62,54 +62,34 @@ __all__ = [
 _GENERATOR_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
+@frozen
 class MoveParams:
     """Exponent n and slack xi defining which powers may be rewritten.
 
     A run u^m qualifies when m is an integer strictly greater than
-    ``n/2 - xi``; the smallest such integer is cached as ``m_min``.  It is
+    ``n/2 - xi``; the smallest such integer is stored as ``m_min``.  It is
     clamped to 2 because a bare letter is not a repetition and the run
     detector has nothing to find below two periods.  Any weaker threshold
-    t <= n/2 is the slack ``xi = n/2 - t``.
+    t <= n/2 is the slack ``xi = n/2 - t``, stored as a ``Fraction``.
     """
 
-    __slots__ = ("_n", "_xi", "_m_min")
+    n: int
+    xi: Fraction = Fraction(0)
 
-    def __init__(self, n: int, xi: Fraction | int | str = 0):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"the exponent must be a positive integer, got {n!r}")
-        xi = Fraction(xi)
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"the exponent must be a positive integer, got {self.n!r}")
+        xi = Fraction(self.xi)
         if xi < 0:
             raise ValueError(f"xi must be non-negative, got {xi}")
-        self._n = n
-        self._xi = xi
-        self._m_min = max(2, self.threshold.__floor__() + 1)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def xi(self) -> Fraction:
-        return self._xi
+        record = self.__dict__
+        record["xi"] = xi
+        # not a field, so equality ignores it; set last, so every record shares one key table
+        record["m_min"] = max(2, self.threshold.__floor__() + 1)
 
     @property
     def threshold(self) -> Fraction:
-        return Fraction(self._n, 2) - self._xi
-
-    @property
-    def m_min(self) -> int:
-        return self._m_min
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MoveParams):
-            return NotImplemented
-        return (self._n, self._xi) == (other._n, other._xi)
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._xi))
-
-    def __repr__(self) -> str:
-        return f"MoveParams(n={self._n}, xi={self._xi}, m_min={self._m_min})"
+        return Fraction(self.n, 2) - self.xi
 
 
 @frozen

@@ -45,7 +45,7 @@ from .matrices import (
     is_transitive_permutation,
 )
 from .substitutions import Substitution
-from .words import InverseAlphabet, Word, _image_length, _join_images, _LetterMap, _tighten
+from .words import InverseAlphabet, Word, _image_length, _LetterMap, _tighten
 
 __all__ = [
     "Graph",
@@ -399,7 +399,7 @@ class StratifiedGraphMap(_LetterMap):
     equality is identity.
     """
 
-    __slots__ = ("_graph", "_vmap", "_codes", "_df_stable", "_strata_cache")
+    __slots__ = ("_graph", "_vmap", "_df_stable", "_strata_cache")
 
     _keys = "positive edge names"
     __eq__ = object.__eq__
@@ -420,11 +420,8 @@ class StratifiedGraphMap(_LetterMap):
         self._graph = graph
         self._vmap = dict(vertex_map)
         super().__init__(graph.edge_alphabet, edge_images)
-        table = self._table
-        # byte images for _join_images, which needs every index below 256
-        self._codes = tuple(map(bytes, table)) if len(table) <= 256 else None
         # Df^(2^b) with 2^b above the number of oriented edges, by b squarings
-        stable = tuple(img[0] for img in table)
+        stable = tuple(img[0] for img in self._table)
         for _ in range(len(stable).bit_length()):
             stable = tuple(stable[i] for i in stable)
         self._df_stable = stable
@@ -505,11 +502,9 @@ class StratifiedGraphMap(_LetterMap):
         return _signed_counts(self._table, loops, basis)
 
     def apply_raw(self, path: EdgePath) -> list[int]:
-        """Letterwise image with tightening, as raw oriented indices."""
+        """Letterwise image with tightening, as raw oriented indices, after the letter-cap check."""
         _check_on_graph(self._graph, path)
-        if self._codes is None:
-            return _tighten([self._table[i] for i in path._seq])
-        return _join_images(self._codes, self._table, path._seq)
+        return self._tight_image(path._seq)
 
     def image_length_bound(self, path: EdgePath) -> int:
         """Length of the image before tightening; an upper bound after."""
@@ -541,8 +536,8 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
 
     Tightening first does not change the next image's tightened form, so
     iterating this single-step operation computes the fully reduced p-fold
-    image directly.  Like :meth:`BasisMap.apply`, each step checks the
-    letter cap first, with the map's ``_check_growth``.
+    image directly.  Each step is one :meth:`StratifiedGraphMap.apply_raw`,
+    which checks the letter cap first, like :meth:`BasisMap.apply`.
     """
     if power < 0:
         raise ValueError("power must be >= 0")
@@ -551,7 +546,6 @@ def f_sharp(f: StratifiedGraphMap, path: EdgePath, power: int = 1) -> EdgePath:
     vmap = f._vmap
     cur = path
     for _ in range(power):
-        f._check_growth(cur._seq)
         cur = EdgePath._make(g, f.apply_raw(cur), vmap[cur._origin])
     return cur
 

@@ -4,15 +4,15 @@ Iterating a substitution or a graph map grows words geometrically, so the
 operations that iterate check the projected size against a cap before each
 expansion.  A step that applies one map to one word calls the map's
 ``_check_growth`` (see ``words._LetterMap``): ``orbit`` and so
-``Substitution.iterate``, ``BasisMap.apply`` and so ``BasisMap.power``, and
-``f_sharp``.  Three sites check a total over several words themselves:
-``FixedPointStream``, ``compose`` of basis maps and
-``growth_rate_estimate``.  A single ``Substitution.apply`` or
-``StratifiedGraphMap.apply_raw`` is not checked; it grows its input by at
-most the longest letter image.  There is one setting: the
-``BURNTRACK_MAX_LETTERS`` environment variable, default ten million
-letters.  It is read at each growth step, and :func:`check_letters` is the
-one place that compares against it.
+``Substitution.iterate``, and every tightened image, so ``BasisMap.apply``
+(and ``BasisMap.power``), ``StratifiedGraphMap.apply_raw`` (and each step of
+``f_sharp``) and ``decide_growth``.  Three sites check a total over several
+words themselves: ``FixedPointStream``, ``compose`` and
+``growth_rate_estimate``.  A single ``Substitution.apply`` is the one
+unchecked step; it grows its input by at most the longest letter image.
+There is one setting: the ``BURNTRACK_MAX_LETTERS`` environment variable,
+default ten million letters.  It is read at each growth step, and
+:func:`check_letters` is the one place that compares against it.
 
 Most runs leave the variable unset, and a hot loop such as ``f_sharp``
 reads the cap on every step.  ``os.environ.get`` pays for a raised and

@@ -24,7 +24,7 @@ from typing import Iterator
 from ._records import frozen
 from .limits import check_letters
 from .matrices import NonnegIntMatrix, _pair_count_matrix, int_determinant
-from .words import Alphabet, Word, _LetterMap, max_power_index
+from .words import Alphabet, Word, _LetterMap, compose, max_power_index
 
 __all__ = [
     "Substitution",
@@ -110,14 +110,6 @@ class Substitution(_LetterMap):
                 counts[i] += 1
             cols.append(counts)
         return NonnegIntMatrix(tuple(zip(*cols)))
-
-
-def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """The substitution sending x to outer(inner(x))."""
-    if outer.alphabet != inner.alphabet:
-        raise ValueError("can only compose substitutions over the same alphabet")
-    alph = outer.alphabet
-    return Substitution(alph, {x: outer.apply(inner.image(x)) for x in alph.positive_letters})
 
 
 class FixedPointStream:

@@ -105,16 +105,30 @@ class TestMoveParams:
         assert p.m_min == 2
 
     def test_guards(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            MoveParams(0)
-        with pytest.raises(ValueError, match="non-negative"):
+        for n in (0, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"positive integer, got {n!r}"):
+                MoveParams(n)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
             MoveParams(3, -1)
+        with pytest.raises(ValueError, match="non-negative, got -1/2"):
+            MoveParams(3, "-1/2")
 
     def test_equality(self):
         assert MoveParams(5, 1) == MoveParams(5, 1)
         assert MoveParams(5, 1) != MoveParams(5, 2)
         assert MoveParams(5, 1) != MoveParams(4, 1)
         assert hash(MoveParams(3)) == hash(MoveParams(3))
+
+    def test_a_record_of_n_and_a_fraction(self):
+        same = [MoveParams(3), MoveParams(3, 0), MoveParams(3, "0"), MoveParams(n=3, xi=Fraction(0))]
+        assert all(p == same[0] and hash(p) == hash(same[0]) for p in same)
+        assert all(type(p.xi) is Fraction for p in same)
+        assert repr(same[0]) == "MoveParams(n=3, xi=Fraction(0, 1))"
+        p = MoveParams(5, 1)
+        for name in ("n", "xi", "m_min"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 4)
+        assert (p.n, p.xi, p.m_min) == (5, 1, 2)
 
 
 class TestFindMoves:

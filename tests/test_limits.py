@@ -2,6 +2,7 @@
 
 import pytest
 
+from burntrack import substitutions
 from burntrack.automorphisms import BasisMap, compose, growth_rate_estimate
 from burntrack.graphmap import (
     EdgePath,
@@ -35,6 +36,7 @@ F2 = InverseAlphabet(["a", "b"])
 FIB_AUT = BasisMap(F2, {"a": "a b", "b": "a"})
 SIXFOLD = BasisMap(F2, {"a": " ".join(["a"] * 6), "b": " ".join(["b"] * 6)})
 TRIPLE = BasisMap(F2, {"a": "a a a", "b": "b b b"})
+SIX = Substitution(AB, {"a": "a a a a a a", "b": "b b b b b b"})
 ROSE = Graph.rose(["a", "b", "c", "d"], {"a": 1, "b": 2, "c": 3, "d": 3})
 PSI = StratifiedGraphMap(ROSE, {"*": "*"}, {"a": "a", "b": "b a", "c": "c b c d", "d": "c"})
 
@@ -52,6 +54,7 @@ GROWING = {
     "BasisMap.power": (lambda: FIB_AUT.power(12), 55),
     # each image alone is 36 letters; only the running total passes the cap
     "compose": (lambda: compose(SIXFOLD, SIXFOLD), 72),
+    "compose of substitutions": (lambda: substitutions.compose(SIX, SIX), 72),
     # each word alone stays under the cap one step longer than the total
     "growth_rate_estimate": (lambda: growth_rate_estimate(TRIPLE, depth=5), 54),
     "f_sharp": (lambda: f_sharp(PSI, EdgePath(ROSE, "d"), 8), 73),

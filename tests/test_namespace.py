@@ -60,6 +60,12 @@ def test_each_name_is_its_modules_binding():
         assert name in dir(burntrack)
 
 
+def test_compose_is_one_function():
+    from burntrack import automorphisms, substitutions, words
+
+    assert burntrack.compose is substitutions.compose is automorphisms.compose is words.compose
+
+
 def test_submodules_resolve_and_unknown_names_raise():
     for name in SUBMODULES:
         assert getattr(burntrack, name) is importlib.import_module(f"burntrack.{name}")

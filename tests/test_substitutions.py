@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burntrack.automorphisms import BasisMap
+from burntrack.graphmap import Graph, StratifiedGraphMap
 from burntrack.limits import GrowthCapExceeded
 from burntrack.matrices import int_determinant, is_primitive
 from burntrack.substitutions import (
@@ -289,6 +291,20 @@ class TestCompose:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             compose(FIB, CYCLIC3)
+
+    def test_a_substitution_and_a_basis_map_do_not_compose(self):
+        free = InverseAlphabet("ab")
+        sigma = Substitution(free, {"a": "a b", "b": "a"})
+        f = BasisMap(free, {"a": "a b", "b": "a"})
+        for outer, inner in ((sigma, f), (f, sigma)):
+            with pytest.raises(ValueError, match="one class"):
+                compose(outer, inner)
+
+    def test_graph_maps_do_not_compose(self):
+        rose = Graph.rose(["a", "b"], {"a": 1, "b": 2})
+        f = StratifiedGraphMap(rose, {"*": "*"}, {"a": "a", "b": "b a"})
+        with pytest.raises(TypeError, match="do not compose"):
+            compose(f, f)
 
 
 class TestOrientability:

@@ -9,11 +9,12 @@ constructors (``from_indices``, and ``EdgePath`` for paths), which must
 accept it unchanged.  Red projections are compared with
 ``red_projection_bruteforce``.
 
-Graph maps with at most 256 oriented edges join their images with
-``words._join_images`` and project to red with ``bytes.translate``; larger
-ones take the letter-by-letter code.  The maps below cover both: ``wide``
-has 260 oriented edges, and in ``swallow`` and ``wide`` whole edge images
-cancel where two pieces meet.  ``_join_images`` is also checked on its own:
+Letter tables over at most 256 letters join their images with
+``words._join_images``, and graphs that small project to red with
+``bytes.translate``; larger ones take the letter-by-letter code.  The maps
+below cover both: ``wide`` has 260 oriented edges, ``WIDE`` basis maps 258
+letters, and in ``swallow`` and ``wide`` whole edge images cancel where two
+pieces meet.  ``_join_images`` is also checked on its own:
 it must hand a sequence to ``_tighten`` exactly when two adjacent letters
 of the joined images cancel.
 """
@@ -85,6 +86,9 @@ def _wide():
 
 GRAPH_MAPS = {"psi": _psi(), "cover": _cover(), "swallow": _swallow(), "wide": _wide()}
 
+# rank 129: 258 letters, past the one-byte codes of _join_images
+WIDE = InverseAlphabet([f"x{q}" for q in range(129)])
+
 choices = st.lists(st.integers(0, 1000), max_size=25)
 
 
@@ -139,12 +143,13 @@ def test_reduce_matches_oracle(case):
 
 @st.composite
 def basis_maps_and_words(draw):
-    rank = draw(st.sampled_from([2, 3]))
-    alph = InverseAlphabet("abc"[:rank])
-    images = {
-        x: Word.from_indices(alph, draw(letters(2 * rank, 5))) for x in alph.positive_letters
-    }
-    return BasisMap(alph, images), Word.from_indices(alph, draw(letters(2 * rank, 20)))
+    alph = draw(st.sampled_from([InverseAlphabet("ab"), InverseAlphabet("abc"), WIDE]))
+    width = len(alph.letters)
+    # WIDE draws three images; the others conjugate by x0, which cancels at every junction
+    images = {x: f"x0 {x} x0^-1" for x in alph.positive_letters[3:]}
+    for x in alph.positive_letters[:3]:
+        images[x] = Word.from_indices(alph, draw(letters(width, 5)))
+    return BasisMap(alph, images), Word.from_indices(alph, draw(letters(width, 20)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,11 +187,32 @@ def test_apply_raw_matches_oracle(name, vertex, picks):
     raw = concat(table[i] for i in p.indices)
     assert f.apply_raw(p) == free_reduce_bruteforce(raw)
     assert f.image_length_bound(p) == _image_length(table, p.indices) == len(raw)
+    # the cap check inside apply_raw reads the same length
+    uncapped = f.apply_raw(p)
+    with mock.patch.dict(os.environ, {"BURNTRACK_MAX_LETTERS": str(max(len(raw), 1))}):
+        assert f.apply_raw(p) == uncapped
+    if len(raw) > 1:
+        with mock.patch.dict(os.environ, {"BURNTRACK_MAX_LETTERS": str(len(raw) - 1)}):
+            try:
+                f.apply_raw(p)
+            except GrowthCapExceeded as err:
+                assert err.needed == len(raw)
+            else:
+                raise AssertionError("apply_raw did not check the letter cap")
 
 
 def test_both_kernel_branches_are_covered():
     assert len(GRAPH_MAPS["wide"].graph.edge_alphabet.letters) == 260
     assert all(len(f.graph.edge_alphabet.letters) <= 256 for n, f in GRAPH_MAPS.items() if n != "wide")
+    # byte images exactly up to 256 letters, for both kinds of letter map
+    assert GRAPH_MAPS["wide"]._codes is None
+    assert all(f._codes is not None for n, f in GRAPH_MAPS.items() if n != "wide")
+    for rank, wide in ((128, False), (129, True)):
+        names = [f"x{q}" for q in range(rank)]
+        rose = Graph.rose(names, {x: 1 for x in names})
+        graph_map = StratifiedGraphMap(rose, {"*": "*"}, {x: x for x in names})
+        for f in (BasisMap.identity(InverseAlphabet(names)), graph_map):
+            assert (f._codes is None) == wide
     for name, start, seq, image in [
         ("swallow", "*", [0, 2, 4], [0, 4]),  # a b c -> a b c . c^-1 . b^-1 c = a c
         ("wide", "*", [2, 0, 4], [0, 2, 0, 4, 1]),  # e1 e0 e2 -> e0 e1 e0 e2 e0^-1
