@@ -33,11 +33,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._records import frozen
-from .automorphisms import BasisMap
 from .words import GroupWord, InverseAlphabet, PowerRun, Word, _root_length, _tighten, find_power_runs
+
+if TYPE_CHECKING:
+    from .automorphisms import BasisMap
 
 __all__ = [
     "MoveParams",

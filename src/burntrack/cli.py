@@ -45,50 +45,20 @@ in the JSON equals the number printed in text mode.  Each object starts with
 Words on the command line may be written as whitespace-separated tokens
 (``a b^-1``, with ``inv(a)`` accepted) or, when unambiguous, packed as one
 string with uppercase meaning inverse (``abA``).
+
+A subcommand loads only the modules its answer needs: importing this
+module loads ``words``, ``limits`` and ``_records`` of the package, a
+session file adds the map modules, ``burnside`` loads only for ``moves``,
+``tc`` and ``burnside-order``, and ``json`` only for ``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
-from fractions import Fraction
 
-from .automorphisms import BasisMap, abelianization, decide_growth
-from .burnside import (
-    EnumerationIncomplete,
-    Joined,
-    MoveParams,
-    Order,
-    SearchBudget,
-    _GENERATOR_NAMES,
-    burnside_oracle,
-    common_descendant_search,
-    find_elementary_moves,
-    induced_order,
-    move_log,
-    todd_coxeter,
-)
-from .graphmap import (
-    EdgePath,
-    Graph,
-    StratifiedGraphMap,
-    StratumKind,
-    _exponential_stratum,
-    classify_strata,
-    f_sharp,
-    growth_classify,
-    red_projection,
-    yellow_loop_audit,
-)
-from .matrices import _perron, is_irreducible
-from .substitutions import (
-    Periodic,
-    Substitution,
-    detect_shift_period,
-)
 from .words import Alphabet, GroupWord, InverseAlphabet, Word, max_power_index, reduce
 
 __all__ = ["main", "parse_session", "dump_session", "SessionFile", "SessionError"]
@@ -182,7 +152,9 @@ def _load(path: str, lineno: int, line: str, make):
     return obj
 
 
-def _checked_autom(alphabet: InverseAlphabet, images) -> BasisMap:
+def _checked_autom(alphabet: InverseAlphabet, images):
+    from .automorphisms import BasisMap, abelianization
+
     f = BasisMap(alphabet, images)
     abelianization(f)  # warns when the determinant is not +-1
     return f
@@ -190,6 +162,9 @@ def _checked_autom(alphabet: InverseAlphabet, images) -> BasisMap:
 
 def parse_session(path: str) -> SessionFile:
     """Parse a session file; the first problem raises with its location."""
+    from .graphmap import Graph, StratifiedGraphMap
+    from .substitutions import Substitution
+
     lines = _numbered_lines(path)
     session = SessionFile()
     objects = session.objects
@@ -337,7 +312,9 @@ def _fmt(value: float, spec: str) -> tuple[str, float]:
     return text, float(text)
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -441,34 +418,42 @@ def _lookup(args, kinds: tuple[str, ...], want: str):
     return kind, obj
 
 
-def _seed_for(obj, text: str):
-    if isinstance(obj, StratifiedGraphMap):
-        return EdgePath(obj.graph, _parse_word(obj.graph.edge_alphabet, text))
-    return _parse_word(obj.alphabet, text)
+def _seed_for(kind: str, obj, text: str):
+    """The seed ``text`` as a word, or as an edge path of a ``graphmap``."""
+    if kind != "graphmap":
+        return _parse_word(obj.alphabet, text)
+    from .graphmap import EdgePath
 
-
-def _advance(obj, state):
-    if isinstance(obj, StratifiedGraphMap):
-        return f_sharp(obj, state)
-    if isinstance(obj, BasisMap):
-        return obj.apply(state)
-    return obj.iterate(state, 1)
+    word = _parse_word(obj.graph.edge_alphabet, text)
+    if not word:
+        raise _CliError("an edge-path seed needs at least one edge")
+    return EdgePath(obj.graph, word)
 
 
 def _iterates(args):
     """The words f^p(seed) for p = 1 .. --depth, f the map ``args.name``."""
-    _, obj = _lookup(args, ("subst", "autom", "graphmap"), "a map")
+    kind, obj = _lookup(args, ("subst", "autom", "graphmap"), "a map")
     if args.depth < 1:
         raise _CliError("--depth must be positive")
-    state = _seed_for(obj, args.seed)
-    for _ in range(args.depth):
-        state = _advance(obj, state)
-        yield state.word if isinstance(state, EdgePath) else state
+    state = _seed_for(kind, obj, args.seed)
+    if kind == "graphmap":
+        from .graphmap import f_sharp
+
+        for _ in range(args.depth):
+            state = f_sharp(obj, state)
+            yield state.word
+    else:
+        step = obj.apply if kind == "autom" else lambda w: obj.iterate(w, 1)
+        for _ in range(args.depth):
+            state = step(state)
+            yield state
 
 
 def _cmd_classify(args):
     kind, obj = _lookup(args, ("autom", "graphmap"), "an autom or a graphmap")
     if kind == "autom":
+        from .automorphisms import abelianization, decide_growth
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # parse_session reported a bad determinant
             det = abelianization(obj).det
@@ -486,6 +471,8 @@ def _cmd_classify(args):
             {"kind": kind, "determinant": det, **payload},
             [f"abelianized determinant {det}", *lines],
         )
+    from .graphmap import StratumKind, classify_strata, growth_classify
+
     lines = []
     strata_payload = []
     for r in classify_strata(obj):
@@ -527,10 +514,14 @@ def _cmd_power_index(args):
     )
 
 
-def _pf_data(obj):
-    if isinstance(obj, StratifiedGraphMap):
+def _pf_data(kind: str, obj):
+    if kind == "graphmap":
+        from .graphmap import _exponential_stratum
+
         top = _exponential_stratum(obj)
         return top.eigenvalue, top.eigenvector, top.residual, list(top.edges)
+    from .matrices import _perron, is_irreducible
+
     matrix = obj.transition_matrix()
     if not is_irreducible(matrix):
         raise _CliError("transition matrix is reducible; no leading eigenvalue")
@@ -539,8 +530,8 @@ def _pf_data(obj):
 
 
 def _cmd_pf(args):
-    _, obj = _lookup(args, ("subst", "graphmap"), "a subst or a graphmap")
-    lam, vec, residual, names = _pf_data(obj)
+    kind, obj = _lookup(args, ("subst", "graphmap"), "a subst or a graphmap")
+    lam, vec, residual, names = _pf_data(kind, obj)
     lam_text, lam_num = _fmt(lam, ".9f")
     res_text, res_num = _fmt(residual, ".3e")
     comps = [_fmt(x, ".9f") for x in vec]
@@ -557,6 +548,8 @@ def _cmd_pf(args):
 
 
 def _cmd_period(args):
+    from .substitutions import Periodic, detect_shift_period
+
     _, obj = _lookup(args, ("subst",), "a subst")
     result = detect_shift_period(obj, args.letter, args.bound)
     if isinstance(result, Periodic):
@@ -572,10 +565,12 @@ def _cmd_period(args):
 
 
 def _cmd_red(args):
-    _, obj = _lookup(args, ("graphmap",), "a graphmap")
+    from .graphmap import f_sharp, red_projection
+
+    kind, obj = _lookup(args, ("graphmap",), "a graphmap")
     if args.depth < 0:
         raise _CliError("--depth must be >= 0")
-    path = _seed_for(obj, args.word)
+    path = _seed_for(kind, obj, args.word)
     rows = [red_projection(path).compact()]
     for _ in range(args.depth):
         path = f_sharp(obj, path)
@@ -588,6 +583,8 @@ def _cmd_red(args):
 
 
 def _cmd_audit_yellow(args):
+    from .graphmap import yellow_loop_audit
+
     _, obj = _lookup(args, ("graphmap",), "a graphmap")
     report = yellow_loop_audit(obj, args.edge, args.depth)
     lines = [
@@ -607,6 +604,8 @@ def _cmd_audit_yellow(args):
 
 
 def _moves_alphabet(rank: int) -> InverseAlphabet:
+    from .burnside import _GENERATOR_NAMES
+
     if not 1 <= rank <= len(_GENERATOR_NAMES):
         raise _CliError(f"--rank must be between 1 and {len(_GENERATOR_NAMES)}")
     return InverseAlphabet(_GENERATOR_NAMES[:rank])
@@ -621,6 +620,15 @@ def _reduced_input(alphabet, text: str) -> GroupWord:
 
 
 def _cmd_moves(args):
+    from .burnside import (
+        Joined,
+        MoveParams,
+        SearchBudget,
+        common_descendant_search,
+        find_elementary_moves,
+        move_log,
+    )
+
     alphabet = _moves_alphabet(args.rank)
     params = MoveParams(args.n, args.xi)
     word = _reduced_input(alphabet, args.word)
@@ -666,6 +674,8 @@ def _cmd_moves(args):
 
 
 def _cmd_burnside_order(args):
+    from .burnside import Order, burnside_oracle, induced_order
+
     _, obj = _lookup(args, ("autom",), "an autom")
     quotient = burnside_oracle(args.rank, args.exp)
     result = induced_order(obj, quotient, max_k=args.max_k)
@@ -699,6 +709,8 @@ def _progress_printer(clock=time.monotonic):
 
 
 def _cmd_tc(args):
+    from .burnside import EnumerationIncomplete, todd_coxeter
+
     alphabet = _moves_alphabet(args.rank)
     relators = []
     for lineno, text in _numbered_lines(args.relators):
@@ -745,6 +757,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     if args.json:
+        import json
+
         head = {"command": args.command}
         if "name" in vars(args):
             head["name"] = args.name

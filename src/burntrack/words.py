@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -711,7 +710,9 @@ class PowerRun:
             raise ValueError("malformed run")
 
     @property
-    def multiplicity(self) -> Fraction:
+    def multiplicity(self):
+        from fractions import Fraction  # loads decimal too, so only when asked for
+
         p = len(self.period)
         return Fraction(self.exponent * p + self.remainder, p)
 

@@ -105,6 +105,9 @@ def _input_cases() -> list[list[str]]:
         ["-s", demo, "power-index", "fib", "b", "--depth", "-1"],
         ["-s", demo, "power-index", "nosuch", "a"],
         ["-s", demo, "red", "psi", "c", "--depth", "-1"],
+        ["-s", demo, "orbit", "psi", ""],
+        ["-s", demo, "red", "psi", ""],
+        ["-s", demo, "power-index", "psi", ""],
         ["-s", demo, "audit-yellow", "psi", "z"],
         ["-s", demo, "period", "remark3", "z"],
         ["-s", demo, "burnside-order", "dehn", "--rank", "3", "--exp", "3"],
