@@ -12,18 +12,23 @@ that picks between them (:func:`decide_growth`), a numerical growth-rate
 probe for any rank (:func:`growth_rate_estimate`), and the bound on orders
 induced on finite exponent quotients by polynomially growing maps
 (:func:`polynomial_order_bound`).
+
+:class:`BasisMap`, :class:`AbelianizationMatrix` and :func:`abelianization`
+are defined in :mod:`burntrack._maps`, which loading a session's ``autom``
+blocks needs, and imported here, where they keep their public home.  The
+growth analysis stays here because ``bench/tracing.py`` patches
+``growth_rate_estimate`` in this module's namespace.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
-from typing import Iterable, Mapping, Sequence
 
+from ._maps import AbelianizationMatrix, BasisMap, NonnegIntMatrix, _pair_count_matrix, abelianization
 from ._records import frozen
 from .limits import check_letters
-from .matrices import NonnegIntMatrix, _pair_count_matrix, has_permutation_blocks, int_determinant
-from .words import GroupWord, InverseAlphabet, Word, _image_length, _LetterMap, compose, cyclic_reduce, reduce
+from .matrices import has_permutation_blocks
+from .words import GroupWord, _image_length, compose, cyclic_reduce
 
 __all__ = [
     "BasisMap",
@@ -42,60 +47,6 @@ __all__ = [
 ]
 
 
-class BasisMap(_LetterMap):
-    """Homomorphism of the free group on an :class:`InverseAlphabet`.
-
-    ``images`` maps each positive letter name to a word (or token string);
-    images are freely reduced on construction.  An image may reduce to the
-    empty word, so general endomorphisms are representable; whether the map
-    is invertible is a separate question (:func:`verify_automorphism`).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, alphabet: InverseAlphabet, images: Mapping[str, Word | str]):
-        if not alphabet.has_inverses:
-            raise ValueError("BasisMap needs an InverseAlphabet")
-        super().__init__(alphabet, images)
-
-    def _image_indices(self, name: str, image: Word | str) -> tuple[int, ...]:
-        return reduce(self._word(name, image)).indices
-
-    @classmethod
-    def identity(cls, alphabet: InverseAlphabet) -> "BasisMap":
-        return cls(alphabet, {x: Word(alphabet, [x]) for x in alphabet.positive_letters})
-
-    def image(self, name: str) -> GroupWord:
-        return GroupWord.from_indices(self._alphabet, self._table[self._alphabet.index(name)])
-
-    def apply(self, word: Word) -> GroupWord:
-        """Image of a word, freely reduced (single fused pass).
-
-        Raises :class:`GrowthCapExceeded` before building anything when the
-        image before cancellation would be longer than the letter cap.
-        """
-        alph = word._alphabet
-        if alph is not self._alphabet and alph != self._alphabet:
-            raise ValueError("word is over a different alphabet")
-        return GroupWord._trusted(self._alphabet, self._tight_image(word._seq))
-
-    __call__ = apply
-
-    def power(self, p: int) -> "BasisMap":
-        """p-fold composition with itself, by repeated squaring."""
-        if p < 0:
-            raise ValueError("power must be >= 0; invert explicitly first")
-        result = BasisMap.identity(self._alphabet)
-        base = self
-        while p:
-            if p & 1:
-                result = compose(result, base)
-            p >>= 1
-            if p:
-                base = compose(base, base)
-        return result
-
-
 def verify_automorphism(f: BasisMap, inverse: BasisMap) -> bool:
     """Check that ``inverse`` really undoes ``f`` on every basis letter.
 
@@ -110,60 +61,6 @@ def verify_automorphism(f: BasisMap, inverse: BasisMap) -> bool:
         if inverse.apply(f.image(name)) != x or f.apply(inverse.image(name)) != x:
             return False
     return True
-
-
-@frozen
-class AbelianizationMatrix:
-    """Signed letter counts of the images, with the exact determinant.
-
-    rows[i][j] is the exponent sum of letter i in the image of letter j
-    (positive letters in alphabet order).  Determinant +-1 is necessary for
-    invertibility; anything else warns at construction time.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    det: int
-
-    def trace_of_square(self) -> int:
-        n = len(self.rows)
-        return sum(
-            self.rows[i][j] * self.rows[j][i] for i in range(n) for j in range(n)
-        )
-
-
-def abelianization(f: BasisMap) -> AbelianizationMatrix:
-    """Image of the map in the integer matrix group, computed exactly."""
-    r = f.alphabet.rank
-    m = _signed_counts(f._table, [(2 * p,) for p in range(r)], range(r))
-    if abs(m.det) != 1:
-        warnings.warn(
-            f"abelianized determinant is {m.det}, so this map is not invertible",
-            stacklevel=2,
-        )
-    return m
-
-
-def _signed_counts(
-    table: Sequence[Sequence[int]], loops: Iterable[Sequence[int]], basis: Iterable[int]
-) -> AbelianizationMatrix:
-    """Entry (i, j): exponent sum of pair ``basis[i]`` in the images of the letters of ``loops[j]``.
-
-    :func:`abelianization` takes one-letter loops and every pair,
-    ``StratifiedGraphMap.h1_matrix`` tree cycles and the pairs off the
-    tree.  No loops give no rows, with determinant 1.
-    """
-    where = {q: n for n, q in enumerate(basis)}
-    cols = []
-    for loop in loops:
-        counts = [0] * len(where)
-        for i in loop:
-            for j in table[i]:
-                n = where.get(j >> 1)
-                if n is not None:
-                    counts[n] += -1 if j & 1 else 1
-        cols.append(counts)
-    rows = tuple(zip(*cols))
-    return AbelianizationMatrix(rows=rows, det=int_determinant(rows) if rows else 1)
 
 
 class Growth(enum.Enum):

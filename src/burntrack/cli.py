@@ -46,10 +46,19 @@ Words on the command line may be written as whitespace-separated tokens
 (``a b^-1``, with ``inv(a)`` accepted) or, when unambiguous, packed as one
 string with uppercase meaning inverse (``abA``).
 
-A subcommand loads only the modules its answer needs: importing this
-module loads ``words``, ``limits`` and ``_records`` of the package, a
-session file adds the map modules, ``burnside`` loads only for ``moves``,
-``tc`` and ``burnside-order``, and ``json`` only for ``--json``.
+A subcommand loads only the modules its answer needs.  Importing this
+module loads ``words``, ``limits`` and ``_records`` of the package.  A
+session file adds ``_maps`` (substitutions, basis maps and their matrices)
+for its ``subst`` and ``autom`` blocks, and ``_graph`` (graphs, edge paths
+and graph maps) from its first ``graphmap`` block on; every object is
+built and checked at load.  ``dump``, and ``orbit`` and ``power-index``
+on an ``autom`` or a ``graphmap``, need nothing more.  An analysis adds
+its public module: ``classify`` on an ``autom`` adds ``automorphisms``,
+``pf`` on a ``subst`` ``matrices``, ``period`` and an orbit of a ``subst``
+``substitutions``, and ``classify``, ``pf``, ``red`` and ``audit-yellow``
+on a ``graphmap`` add ``graphmap``.  ``burnside`` loads only for
+``moves``, ``tc`` and ``burnside-order``, and ``json`` only for
+``--json``.
 """
 
 from __future__ import annotations
@@ -92,9 +101,18 @@ class SessionFile:
 
 
 def _fail(path: str, lineno: int, message: str, line: str = "", token: str = "") -> SessionError:
+    """The error at ``path:lineno``, with the column of the first whole ``token`` of ``line``.
+
+    A whole token, so that vertex ``v`` is not found inside ``vmap``.
+    """
     where = f"{path}:{lineno}"
-    if token and token in line:
-        where += f":{line.index(token) + 1}"
+    start = 0
+    for word in line.split():
+        start = line.index(word, start)
+        if word == token:
+            where += f":{start + 1}"
+            break
+        start += len(word)
     return SessionError(f"{where}: {message}")
 
 
@@ -153,7 +171,7 @@ def _load(path: str, lineno: int, line: str, make):
 
 
 def _checked_autom(alphabet: InverseAlphabet, images):
-    from .automorphisms import BasisMap, abelianization
+    from ._maps import BasisMap, abelianization
 
     f = BasisMap(alphabet, images)
     abelianization(f)  # warns when the determinant is not +-1
@@ -162,9 +180,6 @@ def _checked_autom(alphabet: InverseAlphabet, images):
 
 def parse_session(path: str) -> SessionFile:
     """Parse a session file; the first problem raises with its location."""
-    from .graphmap import Graph, StratifiedGraphMap
-    from .substitutions import Substitution
-
     lines = _numbered_lines(path)
     session = SessionFile()
     objects = session.objects
@@ -204,6 +219,8 @@ def parse_session(path: str) -> SessionFile:
                 if key in images:
                     raise _fail(path, body_no, f"duplicate image for {key!r}", body, key)
                 images[key] = word
+            from ._maps import Substitution
+
             make = Substitution if head == "subst" else _checked_autom
             objects[name] = head, _load(path, lineno, line, lambda: make(alphabet, images))
             continue
@@ -211,6 +228,8 @@ def parse_session(path: str) -> SessionFile:
         if head == "graphmap":
             if len(tokens) != 2:
                 raise _fail(path, lineno, "expected 'graphmap <name>'", line)
+            from ._graph import Graph, StratifiedGraphMap
+
             name = tokens[1]
             check_fresh(name, lineno, line)
             vertices: list[str] = []
@@ -232,6 +251,8 @@ def parse_session(path: str) -> SessionFile:
                 elif parts[0] == "vmap":
                     if len(parts) != 4 or parts[2] != "->":
                         raise _fail(path, body_no, "expected 'vmap <vertex> -> <vertex>'", body)
+                    if parts[1] in vmap:
+                        raise _fail(path, body_no, f"duplicate image for vertex {parts[1]!r}", body, parts[1])
                     vmap[parts[1]] = parts[3]
                 elif parts[0] == "map":
                     if len(parts) < 4 or parts[2] != "->":
@@ -422,7 +443,7 @@ def _seed_for(kind: str, obj, text: str):
     """The seed ``text`` as a word, or as an edge path of a ``graphmap``."""
     if kind != "graphmap":
         return _parse_word(obj.alphabet, text)
-    from .graphmap import EdgePath
+    from ._graph import EdgePath
 
     word = _parse_word(obj.graph.edge_alphabet, text)
     if not word:
@@ -437,7 +458,7 @@ def _iterates(args):
         raise _CliError("--depth must be positive")
     state = _seed_for(kind, obj, args.seed)
     if kind == "graphmap":
-        from .graphmap import f_sharp
+        from ._graph import f_sharp
 
         for _ in range(args.depth):
             state = f_sharp(obj, state)

@@ -10,14 +10,23 @@ runs no closure of its own.  The equality
 an irreducible integer matrix it holds precisely when the matrix is a
 transitive permutation matrix, and that is what callers should test.
 
+:class:`NonnegIntMatrix` and :func:`int_determinant` are defined in
+:mod:`burntrack._maps`, next to the letter maps whose matrices they are,
+and imported here, where they keep their public home; loading a session
+builds and checks maps without compiling this module.  The Perron
+routines stay here because ``bench/tracing.py`` patches
+``pf_eigenvalue`` and ``pf_eigenvalue_via_shift`` in this module's
+namespace.
+
 Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from ._maps import NonnegIntMatrix, int_determinant
 from ._records import frozen
 
 __all__ = [
@@ -32,104 +41,6 @@ __all__ = [
     "has_permutation_blocks",
     "int_determinant",
 ]
-
-
-class NonnegIntMatrix:
-    """Square matrix of nonnegative integers."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        rws = tuple(tuple(int(x) for x in row) for row in rows)
-        n = len(rws)
-        if n == 0:
-            raise ValueError("matrix must be nonempty")
-        for row in rws:
-            if len(row) != n:
-                raise ValueError(f"matrix must be square, got row of length {len(row)} in size {n}")
-            for x in row:
-                if x < 0:
-                    raise ValueError(f"entries must be nonnegative, got {x}")
-        self._rows = rws
-
-    @classmethod
-    def identity(cls, n: int) -> "NonnegIntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @property
-    def size(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    def entry(self, i: int, j: int) -> int:
-        return self._rows[i][j]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
-
-    def __add__(self, other: "NonnegIntMatrix") -> "NonnegIntMatrix":
-        if not isinstance(other, NonnegIntMatrix):
-            return NotImplemented
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return NonnegIntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self._rows, other._rows)
-            )
-        )
-
-    def __mul__(self, other: "NonnegIntMatrix") -> "NonnegIntMatrix":
-        if not isinstance(other, NonnegIntMatrix):
-            return NotImplemented
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        cols = tuple(zip(*other._rows))
-        return NonnegIntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self._rows
-            )
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NonnegIntMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self._rows)
-
-    def __repr__(self) -> str:
-        return f"NonnegIntMatrix({[list(r) for r in self._rows]!r})"
-
-
-def _pair_count_matrix(table: Sequence[Sequence[int]], pairs: Sequence[int]) -> NonnegIntMatrix:
-    """Entry (i, j): occurrences of pair ``pairs[i]``, either way round, in
-    the image of pair ``pairs[j]``.
-
-    ``table[x]`` is the image of letter x as letter indices; letters 2q and
-    2q + 1 are the two directions of pair q, and the table is equivariant
-    under that flip, so ``table[2 * p]`` stands for pair p.  Pairs not in
-    ``pairs`` are not counted.
-    """
-    where = {q: n for n, q in enumerate(pairs)}
-    cols = []
-    for p in pairs:
-        counts = [0] * len(pairs)
-        for i in table[2 * p]:
-            n = where.get(i >> 1)
-            if n is not None:
-                counts[n] += 1
-        cols.append(counts)
-    return NonnegIntMatrix(zip(*cols))
 
 
 def _reach(matrix: NonnegIntMatrix) -> list[int]:
@@ -296,31 +207,3 @@ def _perron(matrix: NonnegIntMatrix) -> PFResult:
     """Perron data of an irreducible matrix: plain power iteration when its
     period is 1, where that converges, and iteration on I + M otherwise."""
     return pf_eigenvalue(matrix) if _period(matrix) == 1 else pf_eigenvalue_via_shift(matrix)
-
-
-def int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    a = [list(map(int, row)) for row in rows]
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

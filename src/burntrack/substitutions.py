@@ -15,16 +15,23 @@ whether a coherent direction can be chosen through every inverse pair
 (:func:`orientability`), a parity system over the pairs solved in one
 pass, which turns a flip-equivariant substitution into a positive one
 over a plain alphabet.
+
+:class:`Substitution` is defined in :mod:`burntrack._maps`, which loading a
+session's ``subst`` blocks needs, and imported here, where it keeps its
+public home.  The orbit and periodicity analysis stays here because
+``bench/tracing.py`` patches ``orbit`` and ``detect_shift_period`` in this
+module's namespace; ``Substitution.iterate`` reads ``orbit`` from here at
+each call.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from ._maps import Substitution, int_determinant
 from ._records import frozen
 from .limits import check_letters
-from .matrices import NonnegIntMatrix, _pair_count_matrix, int_determinant
-from .words import Alphabet, Word, _LetterMap, compose, max_power_index
+from .words import Alphabet, Word, compose, max_power_index
 
 __all__ = [
     "Substitution",
@@ -41,75 +48,6 @@ __all__ = [
     "certify_aperiodic_by_eigenvalue",
     "orientability",
 ]
-
-
-class Substitution(_LetterMap):
-    """Letterwise map x -> image(x) extended to words by concatenation.
-
-    ``images`` maps letter names to words (or token strings).  Over a plain
-    alphabet every letter needs an image; over an :class:`InverseAlphabet`
-    exactly the positive letters do, and ``image(x^-1)`` is defined as the
-    flip of ``image(x)``.  Images must be nonempty: erasing substitutions
-    are not allowed.
-    """
-
-    __slots__ = ()
-
-    def _image_indices(self, name: str, image: Word | str) -> tuple[int, ...]:
-        word = self._word(name, image)
-        if len(word) == 0:
-            raise ValueError(f"image of {name!r} is empty; erasing is not allowed")
-        return word.indices
-
-    def image(self, name: str) -> Word:
-        return Word.from_indices(self._alphabet, self._table[self._alphabet.index(name)])
-
-    def apply(self, word: Word) -> Word:
-        """One application; pure concatenation of letter images."""
-        alph = word._alphabet
-        if alph is not self._alphabet and alph != self._alphabet:
-            raise ValueError("word is over a different alphabet")
-        table = self._table
-        out: list[int] = []
-        for i in word._seq:
-            out.extend(table[i])
-        return Word._trusted(self._alphabet, out)
-
-    __call__ = apply
-
-    def iterate(self, word: Word, power: int) -> Word:
-        """Apply the substitution ``power`` times.
-
-        The last word of :func:`orbit`, so the projected output length is
-        checked against the letter cap before each expansion; see
-        :mod:`burntrack.limits`.
-        """
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        cur = word
-        for _, cur in orbit(self, word, power):
-            pass
-        return cur
-
-    def transition_matrix(self) -> NonnegIntMatrix:
-        """Occurrence counts, letters down the rows, images across columns.
-
-        Entry (i, j) counts letter i in the image of letter j.  Over an
-        :class:`InverseAlphabet` the matrix is indexed by positive letters
-        and counts both directions of a pair together, which makes it
-        insensitive to flips.
-        """
-        alph = self._alphabet
-        if alph.has_inverses:
-            return _pair_count_matrix(self._table, range(alph.rank))
-        n = len(alph.letters)
-        cols = []
-        for j in range(n):
-            counts = [0] * n
-            for i in self._table[j]:
-                counts[i] += 1
-            cols.append(counts)
-        return NonnegIntMatrix(tuple(zip(*cols)))
 
 
 class FixedPointStream:

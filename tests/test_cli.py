@@ -177,6 +177,35 @@ class TestSessionParse:
         with pytest.raises(SessionError, match=r"i\.bt:4:3: duplicate image"):
             parse_session(str(p))
 
+    @pytest.mark.parametrize("vertex", ["u", "v"])
+    def test_duplicate_vertex_image(self, tmp_path, vertex):
+        # a second vmap line for a vertex used to replace the first silently;
+        # the column is the vertex's, not a letter of "vmap"
+        other = "v" if vertex == "u" else "u"
+        p = tmp_path / "v.bt"
+        p.write_text(
+            "graphmap m\n"
+            "  vertices: u v\n"
+            "  edge e u v height 1\n"
+            f"  vmap {vertex} -> {other}\n"
+            f"  vmap {other} -> {vertex}\n"
+            f"  vmap {vertex} -> {vertex}\n"
+            f"  vmap {other} -> {other}\n"
+            "  map e -> e\n"
+            "end\n"
+        )
+        with pytest.raises(SessionError, match=rf"v\.bt:6:8: duplicate image for vertex '{vertex}'$"):
+            parse_session(str(p))
+
+    def test_duplicate_edge_image_column(self, tmp_path):
+        p = tmp_path / "e.bt"
+        p.write_text(
+            "graphmap m\n  vertices: *\n  edge a * * height 1\n  vmap * -> *\n"
+            "  map a -> a\n  map a -> a\nend\n"
+        )
+        with pytest.raises(SessionError, match=r"e\.bt:6:7: duplicate image for edge 'a'$"):
+            parse_session(str(p))
+
     def test_autom_needs_inverse_alphabet(self, tmp_path):
         p = tmp_path / "a.bt"
         p.write_text("alphabet A plain a\nautom f over A\n  a -> a\nend\n")

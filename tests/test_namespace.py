@@ -65,7 +65,7 @@ def test_the_cli_loads_only_what_every_subcommand_uses():
 def test_the_session_free_subcommands_load_no_map_module(argv):
     loaded = loaded_after_main(argv)
     assert "burntrack.burnside" in loaded
-    for name in ("graphmap", "substitutions", "automorphisms", "matrices"):
+    for name in ("graphmap", "substitutions", "automorphisms", "matrices", "_maps", "_graph"):
         assert f"burntrack.{name}" not in loaded
 
 
@@ -74,6 +74,58 @@ def test_a_session_question_loads_no_burnside_and_json_only_for_json(flags):
     loaded = loaded_after_main(["-s", SESSION, *flags, "classify", "fib"])
     assert "burntrack.automorphisms" in loaded and "burntrack.burnside" not in loaded
     assert ("json" in loaded) == bool(flags)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "fib"], ["dump"], ["orbit", "psi", "a"]],
+    ids=["classify-autom", "dump", "orbit-graphmap"],
+)
+def test_a_session_question_that_analyses_no_graph_map_loads_no_graphmap(argv):
+    # the session's graph maps are built and checked through _graph alone
+    loaded = loaded_after_main(["-s", SESSION, *argv])
+    assert "burntrack._graph" in loaded and "burntrack.graphmap" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["classify", "psi"], ["red", "psi", "c"]], ids=["classify", "red"])
+def test_a_graph_map_analysis_loads_graphmap(argv):
+    assert "burntrack.graphmap" in loaded_after_main(["-s", SESSION, *argv])
+
+
+def test_a_session_without_graph_maps_loads_no_graph_module(tmp_path):
+    path = tmp_path / "autom.bt"
+    path.write_text("alphabet F2 inverse a b\nautom fib over F2\n  a -> a b\n  b -> a\nend\n")
+    loaded = loaded_after_main(["-s", str(path), "classify", "fib"])
+    assert "burntrack._maps" in loaded
+    assert "burntrack._graph" not in loaded and "burntrack.graphmap" not in loaded
+
+
+# public module -> (the private module that defines them, the names it re-exports)
+RE_EXPORTS = {
+    "automorphisms": ("_maps", ("AbelianizationMatrix", "BasisMap", "abelianization")),
+    "graphmap": ("_graph", ("EdgePath", "Graph", "StratifiedGraphMap", "f_sharp")),
+    "matrices": ("_maps", ("NonnegIntMatrix", "int_determinant")),
+    "substitutions": ("_maps", ("Substitution",)),
+}
+
+
+def test_the_public_modules_re_export_the_private_definitions():
+    exported = {"_graph": set(), "_maps": set()}
+    for module, (core, names) in RE_EXPORTS.items():
+        public = importlib.import_module(f"burntrack.{module}")
+        private = importlib.import_module(f"burntrack.{core}")
+        for name in names:
+            assert name in public.__all__, (module, name)
+            assert getattr(public, name) is getattr(private, name) is getattr(burntrack, name), name
+        exported[core].update(names)
+    # every public name a private module defines has a public home
+    for core, names in exported.items():
+        private = importlib.import_module(f"burntrack.{core}")
+        defined = {
+            name for name, obj in vars(private).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == private.__name__
+        }
+        assert defined == names, core
 
 
 def test_star_import_binds_every_name():
