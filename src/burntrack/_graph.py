@@ -53,10 +53,13 @@ class Graph:
         vertices: Iterable[str],
         edges: Iterable[tuple[str, str, str, int]],
     ):
-        vs = tuple(dict.fromkeys(vertices))
+        vs = tuple(vertices)
         if not vs:
             raise ValueError("a graph needs at least one vertex")
         vset = frozenset(vs)
+        if len(vset) < len(vs):
+            repeated = next(v for i, v in enumerate(vs) if v in vs[:i])
+            raise ValueError(f"duplicate vertex {repeated!r}")
         names: list[str] = []
         origin: list[str] = []
         heights: list[int] = []

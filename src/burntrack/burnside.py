@@ -12,8 +12,9 @@ place a table is standardized: its constructor numbers the rows
 breadth-first from coset 0 and records the spanning tree that every
 representative word is read from.  :func:`burnside_oracle` uses the
 enumeration once, with the n-th powers of the words of length up to
-``min(rank, n)`` as relators, then certifies that every element has
-``g^n = 1``.  That certificate pins the quotient exactly: a group of
+``min(rank, n)`` as relators, and wraps the table in a
+:class:`FiniteQuotient`, whose constructor certifies that every element
+has ``g^n = 1``.  That certificate pins the quotient exactly: a group of
 exponent n defined by relations that are themselves n-th powers is the
 universal exponent-n quotient, no order formula needed.
 
@@ -582,87 +583,64 @@ def todd_coxeter(
     return CosetTable(alphabet, table, allocated=len(table))
 
 
+@frozen
 class FiniteQuotient:
     """Finite exponent-n quotient of a free group, as a closed coset table.
 
-    Elements are coset numbers; 0 is the identity.  ``exponent_certified``
-    is set once every element has been checked to satisfy ``g^n = 1``,
-    which identifies the quotient with the universal exponent-n quotient
-    of the free group.  Representative words are read off the table's
+    Elements are coset numbers; 0 is the identity.  The constructor is the
+    certificate: it checks ``g^n = 1`` for every element, which identifies
+    the quotient with the universal exponent-n quotient of the free group,
+    and raises ``ValueError`` when an element fails or n is not a positive
+    integer.  So every quotient is certified, and ``exponent_certified`` is
+    always true.  ``base_length`` is the longest base word whose n-th power
+    was used as a relator.  Representative words are read off the table's
     spanning tree when asked, not stored.
     """
 
-    __slots__ = ("_rank", "_exponent", "_table", "_certified", "_base_length")
+    exponent: int
+    table: CosetTable
+    base_length: int
 
-    def __init__(self, rank: int, exponent: int, table: CosetTable, base_length: int):
-        self._rank = rank
-        self._exponent = exponent
-        self._table = table
-        self._base_length = base_length
-        self._certified = False
+    exponent_certified = True  # not annotated, so not a field
+
+    def __post_init__(self):
+        n, table = self.exponent, self.table
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"the exponent must be a positive integer, got {n!r}")
+        for element in range(table.size):
+            if table.trace(0, table.rep_letters(element) * n) != 0:
+                raise ValueError(
+                    f"no exponent-{n} certificate for rank {self.rank} "
+                    f"with base words up to length {self.base_length}"
+                )
 
     @property
     def rank(self) -> int:
-        return self._rank
-
-    @property
-    def exponent(self) -> int:
-        return self._exponent
+        return self.table.alphabet.rank
 
     @property
     def order(self) -> int:
-        return self._table.size
-
-    @property
-    def table(self) -> CosetTable:
-        return self._table
+        return self.table.size
 
     @property
     def alphabet(self) -> InverseAlphabet:
-        return self._table.alphabet
-
-    @property
-    def base_length(self) -> int:
-        """Longest base word whose n-th power was used as a relator."""
-        return self._base_length
-
-    @property
-    def exponent_certified(self) -> bool:
-        return self._certified
-
-    def certify_exponent(self) -> bool:
-        """Check g^n = 1 for every element, caching a positive answer."""
-        if self._certified:
-            return True
-        n = self._exponent
-        table = self._table
-        for element in range(table.size):
-            if table.trace(0, table.rep_letters(element) * n) != 0:
-                return False
-        self._certified = True
-        return True
+        return self.table.alphabet
 
     def eval_word(self, word: Word) -> int:
         """Image of a word, reduced or not, as an element number.
 
         The table's :meth:`CosetTable.trace` rejects a word over another alphabet.
         """
-        return self._table.trace(0, word)
+        return self.table.trace(0, word)
 
     def rep_word(self, element: int) -> GroupWord:
-        return GroupWord._trusted(self.alphabet, self._table.rep_letters(element))
+        return GroupWord._trusted(self.alphabet, self.table.rep_letters(element))
 
     def multiply(self, x: int, y: int) -> int:
-        return self._table.trace(x, self._table.rep_letters(y))
+        return self.table.trace(x, self.table.rep_letters(y))
 
     def inverse(self, x: int) -> int:
-        return self._table.trace(0, [i ^ 1 for i in reversed(self._table.rep_letters(x))])
-
-    def __repr__(self) -> str:
-        return (
-            f"FiniteQuotient(rank={self._rank}, exponent={self._exponent}, "
-            f"order={self.order}, certified={self._certified})"
-        )
+        return self.table.trace(0, [i ^ 1 for i in reversed(self.table.rep_letters(x))])
 
 
 def _base_words(alphabet: InverseAlphabet, length: int) -> list[tuple[int, ...]]:
@@ -701,11 +679,12 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
 
     Relators are the n-th powers of the cyclically reduced base words of
     length up to ``min(rank, n)``: for n = 2, a^2, b^2 and (ab)^2 force
-    ab = ba, and for n = 3 the exponent check, run on every build,
-    confirms the length.  The one enumeration may allocate 20 cosets per
-    element of the expected order, else :class:`EnumerationIncomplete`
-    propagates.  Quotients of order above 10 000 are refused.  Results are
-    cached per (rank, exponent) unless ``cached`` is false.
+    ab = ba, and for n = 3 the certificate that :class:`FiniteQuotient`
+    checks on every build confirms the length.  The one enumeration may
+    allocate 20 cosets per element of the expected order, else
+    :class:`EnumerationIncomplete` propagates.  Quotients of order above
+    10 000 are refused.  Results are cached per (rank, exponent) unless
+    ``cached`` is false.
     """
     if exponent not in (2, 3):
         raise ValueError("only exponents 2 and 3 are finite cases handled here")
@@ -731,12 +710,7 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
         for seq in _base_words(alphabet, length)
     ]
     table = todd_coxeter(rank, relators, max_cosets=_COSETS_PER_ELEMENT * expected_order)
-    quotient = FiniteQuotient(rank, exponent, table, base_length=base_length)
-    if not quotient.certify_exponent():
-        raise RuntimeError(
-            f"no exponent-{exponent} certificate for rank {rank} "
-            f"with base words up to length {base_length}"
-        )
+    quotient = FiniteQuotient(exponent, table, base_length)
     if cached:
         _ORACLE_CACHE[key] = quotient
     return quotient
@@ -755,8 +729,8 @@ class ExceedsBound:
 def induced_order(f: BasisMap, quotient: FiniteQuotient, max_k: int = 10_000) -> Order | ExceedsBound:
     """Exact order of the permutation the map induces on the quotient.
 
-    The quotient must be exponent-certified (its kernel is fully invariant,
-    so any endomorphism descends); the map must come from an automorphism,
+    The quotient is exponent-certified, so its kernel is fully invariant
+    and any endomorphism descends; the map must come from an automorphism,
     which is re-checked here by requiring the induced action to permute the
     elements.  The order is reported as ExceedsBound when above ``max_k``.
 
@@ -777,8 +751,6 @@ def induced_order(f: BasisMap, quotient: FiniteQuotient, max_k: int = 10_000) ->
     divides it, the order is exactly L.  The cost is one short walk per
     step, sum(L_g) steps in all, and nothing of size ``quotient.order``.
     """
-    if not quotient.exponent_certified:
-        raise ValueError("quotient is not exponent-certified")
     if f.alphabet != quotient.alphabet:
         raise ValueError(
             f"map must be over letters {quotient.alphabet.positive_letters!r}"

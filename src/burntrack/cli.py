@@ -239,7 +239,10 @@ def parse_session(path: str) -> SessionFile:
             for body_no, body in _block_body(lines, path, lineno, line, head):
                 parts = body.split()
                 if parts[0] == "vertices:":
-                    vertices.extend(parts[1:])
+                    for v in parts[1:]:
+                        if v in vertices:
+                            raise _fail(path, body_no, f"duplicate vertex {v!r}", body, v)
+                        vertices.append(v)
                 elif parts[0] == "edge":
                     if len(parts) != 6 or parts[4] != "height":
                         raise _fail(path, body_no, "expected 'edge <name> <from> <to> height <h>'", body)
@@ -247,6 +250,8 @@ def parse_session(path: str) -> SessionFile:
                         h = int(parts[5])
                     except ValueError:
                         raise _fail(path, body_no, f"bad height {parts[5]!r}", body, parts[5]) from None
+                    if any(e[0] == parts[1] for e in edges):
+                        raise _fail(path, body_no, f"duplicate edge {parts[1]!r}", body, parts[1])
                     edges.append((parts[1], parts[2], parts[3], h))
                 elif parts[0] == "vmap":
                     if len(parts) != 4 or parts[2] != "->":

@@ -21,7 +21,7 @@ from burntrack.automorphisms import (
     verify_automorphism,
 )
 from burntrack.limits import GrowthCapExceeded
-from burntrack.words import GroupWord, InverseAlphabet, Word, flip, reduce
+from burntrack.words import Alphabet, GroupWord, InverseAlphabet, Word, flip, reduce
 
 from .oracles import generates_free_group_bruteforce
 
@@ -57,6 +57,10 @@ class TestBasisMap:
             BasisMap(FREE2, {"a": "a", "b": "b", "a^-1": "a^-1"})
         with pytest.raises(ValueError):
             BasisMap(FREE2, {"a": Word(FREE4, "a"), "b": "b"})
+        with pytest.raises(ValueError, match="needs an InverseAlphabet"):
+            BasisMap(Alphabet("ab"), {"a": "a", "b": "b"})
+        with pytest.raises(ValueError, match="different alphabet"):
+            FIB.apply(Word(FREE4, "a"))
 
     def test_images_reduced_on_input(self):
         f = BasisMap(FREE2, {"a": "a b b^-1 a", "b": "b"})

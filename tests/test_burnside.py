@@ -42,6 +42,11 @@ def free2(seq):
     return reduce(Word.from_indices(F2, seq))
 
 
+def z5_table():
+    """The coset table of Z/5 = <a | a^5>."""
+    return todd_coxeter(1, [GroupWord.from_indices(InverseAlphabet("a"), (0,) * 5)])
+
+
 # independent oracle: classical orders of the exponent-2 and exponent-3 groups
 def order_formula(r, n):
     if n == 2:
@@ -523,10 +528,6 @@ class TestOracle:
         got = (q.order, q.base_length, q.table.cosets_allocated, table_digest(q.table))
         assert got == FROZEN_QUOTIENTS[rank, exponent]
 
-    def test_certify_idempotent(self):
-        q = burnside_oracle(2, 3)
-        assert q.certify_exponent() and q.certify_exponent()
-
     def test_cache(self):
         assert burnside_oracle(2, 3) is burnside_oracle(2, 3)
         fresh = burnside_oracle(2, 3, cached=False)
@@ -649,12 +650,12 @@ class TestOracleBudget:
         with pytest.raises(EnumerationIncomplete, match=f"against a limit of {limit}$"):
             burnside_oracle(3, 3, cached=False)
 
-    def test_failed_certificate_names_the_base_length(self, monkeypatch):
-        monkeypatch.setattr(FiniteQuotient, "certify_exponent", lambda self: False)
-        with pytest.raises(RuntimeError) as err:
-            burnside_oracle(2, 3, cached=False)
+    def test_failed_certificate_names_the_base_length(self):
+        # Z/5 has elements whose cube is not the identity
+        with pytest.raises(ValueError) as err:
+            FiniteQuotient(3, z5_table(), 1)
         assert str(err.value) == (
-            "no exponent-3 certificate for rank 2 with base words up to length 2"
+            "no exponent-3 certificate for rank 1 with base words up to length 1"
         )
 
 
@@ -715,13 +716,19 @@ class TestInducedOrder:
         q = burnside_oracle(2, 3)
         twist = BasisMap(F2, {"a": "a", "b": "b a"})
         assert induced_order(twist, q, max_k=2) == ExceedsBound(2)
+        with pytest.raises(ValueError, match="max_k must be positive"):
+            induced_order(twist, q, max_k=0)
 
     def test_requires_certificate(self):
-        F1 = InverseAlphabet("a")
-        table = todd_coxeter(1, [GroupWord.from_indices(F1, (0, 0, 0))])
-        raw = FiniteQuotient(1, 3, table, base_length=1)
-        with pytest.raises(ValueError, match="certified"):
-            induced_order(BasisMap.identity(F1), raw)
+        # only a certified quotient can be built, so none reaches induced_order
+        # unchecked; a non-positive exponent would certify vacuously
+        table = z5_table()
+        q = FiniteQuotient(5, table, 1)
+        assert (q.rank, q.order, q.exponent_certified) == (1, 5, True)
+        assert induced_order(BasisMap.identity(q.alphabet), q) == Order(1)
+        for exponent in (0, -2):
+            with pytest.raises(ValueError, match="positive integer"):
+                FiniteQuotient(exponent, table, 1)
 
     def test_rejects_non_automorphism(self):
         import warnings

@@ -206,6 +206,61 @@ class TestSessionParse:
         with pytest.raises(SessionError, match=r"e\.bt:6:7: duplicate image for edge 'a'$"):
             parse_session(str(p))
 
+    def test_duplicate_edge_column(self, tmp_path):
+        # reported at the repeated edge line, not at the block's first line
+        p = tmp_path / "e.bt"
+        p.write_text(
+            "graphmap m\n  vertices: u\n  edge e u u height 1\n  edge e u u height 1\n"
+            "  vmap u -> u\n  map e -> e\nend\n"
+        )
+        with pytest.raises(SessionError, match=r"e\.bt:4:8: duplicate edge 'e'$"):
+            parse_session(str(p))
+
+    @pytest.mark.parametrize(
+        "vertices, where",
+        [("  vertices: u\n  vertices: u\n", "3:13"), ("  vertices: u u\n", "2:13")],
+        ids=["two-lines", "one-line"],
+    )
+    def test_duplicate_vertex(self, tmp_path, vertices, where):
+        # a repeated vertex is an error, like a repeated edge; on one line
+        # the column is the vertex's first on that line
+        p = tmp_path / "v.bt"
+        p.write_text(
+            f"graphmap m\n{vertices}  edge e u u height 1\n  vmap u -> u\n  map e -> e\nend\n"
+        )
+        with pytest.raises(SessionError, match=rf"v\.bt:{where}: duplicate vertex 'u'$"):
+            parse_session(str(p))
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("alphabet A\n", "1", "expected 'alphabet <name> inverse|plain <letters...>'"),
+            ("alphabet A free a\n", "1", "expected 'alphabet <name> inverse|plain <letters...>'"),
+            ("alphabet A plain a\nsubst s A\n  a -> a\nend\n", "2",
+             "expected 'subst <name> over <alphabet>'"),
+            ("alphabet A inverse a\nautom f over\n  a -> a\nend\n", "2",
+             "expected 'autom <name> over <alphabet>'"),
+            ("graphmap\nend\n", "1", "expected 'graphmap <name>'"),
+            ("graphmap g h\nend\n", "1", "expected 'graphmap <name>'"),
+            ("graphmap g\n  vertices: *\n  vmap * *\nend\n", "3", "expected 'vmap <vertex> -> <vertex>'"),
+            ("graphmap g\n  vertices: *\n  map e e\nend\n", "3", "expected 'map <edge> -> <tokens...>'"),
+            ("alphabet A plain a a\n", "1", "duplicate letter 'a'"),
+            ("graphmap g\n  vertices: *\n  edge a * * height 1\n  edge b * * height 2\n"
+             "  vmap * -> *\n  map a -> b\n  map b -> b a\nend\n", "1",
+             "filtration violated: image of 'a' (height 1) crosses b of height 2"),
+        ],
+        ids=["alphabet-short", "alphabet-kind", "subst-header", "autom-header", "graphmap-bare",
+             "graphmap-two-names", "vmap-line", "map-line", "alphabet-load", "graphmap-load"],
+    )
+    def test_malformed_line(self, tmp_path, text, where, message):
+        # a malformed header or line fails at its own line; a constructor's
+        # ValueError fails at the block's first line
+        p = tmp_path / "m.bt"
+        p.write_text(text)
+        with pytest.raises(SessionError) as err:
+            parse_session(str(p))
+        assert str(err.value) == f"{p}:{where}: {message}"
+
     def test_autom_needs_inverse_alphabet(self, tmp_path):
         p = tmp_path / "a.bt"
         p.write_text("alphabet A plain a\nautom f over A\n  a -> a\nend\n")
@@ -579,6 +634,11 @@ class TestMoves:
         code, out, _ = run(capsys, "moves", "aaab", "--n", "5", "--xi", "3/2")
         assert code == EXIT_OK
         assert out.startswith("pos=0 period=a m=3")
+
+    def test_zero_denominator_xi(self, capsys):
+        code, out, err = run(capsys, "moves", "ab", "--n", "3", "--xi", "1/0")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: argument --xi: not a finite fraction: '1/0'\n"
 
     def test_join_found(self, capsys):
         code, out, _ = run(capsys, "moves", "aaaab", "--n", "3", "--join", "bbbab")

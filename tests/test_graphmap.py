@@ -118,6 +118,11 @@ class TestGraph:
         with pytest.raises(ValueError, match="duplicate"):
             Graph(["u"], [("e", "u", "u", 1), ("e", "u", "u", 1)])
 
+    def test_duplicate_vertex(self):
+        # a repeated vertex name is an error, like a repeated edge name
+        with pytest.raises(ValueError, match="^duplicate vertex 'u'$"):
+            Graph(["u", "v", "u"], [("e", "u", "v", 1)])
+
     def test_equality(self):
         assert psi_rose()[0] == psi_rose()[0]
         assert psi_rose()[0] != fib_rose()[0]
@@ -164,6 +169,9 @@ class TestEdgePath:
         p = EdgePath(g, "c d c y^-1")
         assert p.origin == "u" and p.terminus == "u"
         assert p.vertex_at(0) == "u" and p.vertex_at(1) == "v" and p.vertex_at(2) == "u"
+        for n in (-1, 5):
+            with pytest.raises(IndexError):
+                p.vertex_at(n)
         with pytest.raises(ValueError, match="do not compose"):
             EdgePath(g, "c c")
 
@@ -186,6 +194,8 @@ class TestEdgePath:
         assert p[1:3].compact() == "dc"
         assert p[1:3].origin == "v"
         assert p[2:2].is_trivial and p[2:2].origin == "u"
+        with pytest.raises(ValueError, match="with a step"):
+            p[::2]
         r = p.reverse()
         assert r.compact() == "yCDC"
         assert r.origin == "u" and r.terminus == "u"
@@ -205,6 +215,10 @@ class TestEdgePath:
         c = EdgePath(g, "c")
         with pytest.raises(ValueError, match="do not compose"):
             c * c
+        f, _ = fib_rose()
+        h, _ = twist_rose()
+        with pytest.raises(ValueError, match="different graphs"):
+            EdgePath(f, "a") * EdgePath(h, "a")
 
 
 class TestMapConstruction:
@@ -235,11 +249,23 @@ class TestMapConstruction:
             )
         with pytest.raises(ValueError, match="vertex_map is missing"):
             StratifiedGraphMap(g, {}, {"a": "a", "b": "b a", "c": "c b c d", "d": "c"})
+        with pytest.raises(ValueError, match="'w' -> '\\*' uses unknown vertices"):
+            StratifiedGraphMap(
+                g, {"*": "*", "w": "*"}, {"a": "a", "b": "b a", "c": "c b c d", "d": "c"}
+            )
 
     def test_no_collapsing(self):
         g, _ = fib_rose()
         with pytest.raises(ValueError, match="may not collapse"):
             StratifiedGraphMap(g, {"*": "*"}, {"a": "a b", "b": ""})
+        with pytest.raises(ValueError, match="may not collapse"):
+            StratifiedGraphMap(g, {"*": "*"}, {"a": "a b", "b": EdgePath(g, "", at="*")})
+
+    def test_image_on_another_graph(self):
+        g, _ = fib_rose()
+        h, _ = twist_rose()
+        with pytest.raises(ValueError, match="image of 'b' lives on a different graph"):
+            StratifiedGraphMap(g, {"*": "*"}, {"a": "a b", "b": EdgePath(h, "a")})
 
     def test_filtration_enforced(self):
         g, _ = twist_rose()
@@ -321,6 +347,8 @@ class TestFSharp:
         g, f = psi_rose()
         p = EdgePath(g, "c b")
         assert f_sharp(f, p, 0) == p
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            f_sharp(f, p, -1)
 
     def test_trivial_path(self):
         g, f = cover2()
@@ -679,6 +707,11 @@ class TestYellowRed:
         g, f = psi_rose()
         with pytest.raises(ValueError, match="legal"):
             red_commutation_check(f, EdgePath(g, "c^-1 d"), 2)
+
+    def test_commutation_power_guard(self):
+        g, f = psi_rose()
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            red_commutation_check(f, EdgePath(g, "c"), -1)
 
 
 class TestAudit:

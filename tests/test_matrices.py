@@ -197,6 +197,11 @@ class TestPerron:
         with pytest.raises(ValueError):
             pf_eigenvalue_via_shift(NonnegIntMatrix.identity(2))
 
+    @pytest.mark.parametrize("pf", [pf_eigenvalue, pf_eigenvalue_via_shift])
+    def test_tolerance_must_be_positive(self, pf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            pf(FIB, tol=0)
+
     def test_shift_handles_imprimitive(self):
         res = pf_eigenvalue_via_shift(SWAP, tol=1e-12)
         assert abs(res.eigenvalue - 1.0) < 1e-9

@@ -146,6 +146,8 @@ class TestFixedPoint:
     def test_prefix_golden(self):
         assert fixed_point_prefix(FIB, "a", 21).compact() == FIB_ORBIT[-1]
         assert fixed_point_prefix(FIB, "a", 0).is_trivial
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fixed_point_prefix(FIB, "a", -1)
 
     def test_prefix_extends(self):
         stream = FixedPointStream(FIB, "a")
@@ -279,6 +281,10 @@ class TestOrbit:
         monkeypatch.setenv("BURNTRACK_MAX_LETTERS", "500")
         with pytest.raises(GrowthCapExceeded):
             list(orbit(FIB, Word(AB, "a"), 50))
+
+    def test_depth_guard(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            list(orbit(FIB, Word(AB, "a"), -1))
 
 
 class TestCompose:
