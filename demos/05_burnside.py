@@ -2,9 +2,10 @@
 
 An (n, xi)-elementary move replaces u^m by u^(m-n) whenever m clears the
 threshold n/2 - xi, so both words map to the same element modulo n-th
-powers.  Chains of moves are searched bidirectionally; quotients come from
-coset enumeration and are certified by raising every element to the n-th
-power.
+powers.  Chains of moves are searched bidirectionally; coset enumeration
+closes finite presentations; the Burnside quotients B(r, 2) and B(r, 3) are
+written from the collected normal form of their elements and certified by
+raising every element to the n-th power.
 """
 
 from burntrack import (
@@ -57,8 +58,9 @@ print("exponent-3 presentation closes at", table.size, "cosets")
 print(table.to_csv().splitlines()[0])
 
 # --- certified quotients ----------------------------------------------------
-# The oracle grows relator sets until enumeration closes AND every element
-# raised to n is trivial; the certificate pins the group exactly.
+# The oracle writes the multiplication table from the collected normal form
+# and certifies that every element raised to n is trivial; with the order of
+# B(r, n), that pins the group exactly.
 for rank, exp in [(2, 2), (3, 2), (2, 3)]:
     q = burnside_oracle(rank, exp)
     print(f"B({rank},{exp}) has order {q.order}, certified: {q.exponent_certified}")

@@ -10,13 +10,13 @@ for a common rewrite of two words under a budget.
 presentation (HLT strategy, deterministic).  :class:`CosetTable` is the one
 place a table is standardized: its constructor numbers the rows
 breadth-first from coset 0 and records the spanning tree that every
-representative word is read from.  :func:`burnside_oracle` uses the
-enumeration once, with the n-th powers of the words of length up to
-``min(rank, n)`` as relators, and wraps the table in a
+representative word is read from.  :func:`burnside_oracle` enumerates no
+cosets: it writes the right-multiplication table of B(r, n) from the
+collected normal form of its elements and wraps it in a
 :class:`FiniteQuotient`, whose constructor certifies that every element
-has ``g^n = 1``.  That certificate pins the quotient exactly: a group of
-exponent n defined by relations that are themselves n-th powers is the
-universal exponent-n quotient, no order formula needed.
+has ``g^n = 1``.  A regular table with r generators, exponent n and order
+|B(r, n)| is B(r, n): exponent n makes it a quotient of B(r, n), and the
+orders agree.
 
 :func:`induced_order` computes the exact order of the permutation pi a
 basis map induces on a certified quotient without building pi.  It
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._records import frozen
-from .words import GroupWord, InverseAlphabet, PowerRun, Word, _root_length, _tighten, find_power_runs
+from .words import GroupWord, InverseAlphabet, PowerRun, Word, _tighten, find_power_runs
 
 if TYPE_CHECKING:
     from .automorphisms import BasisMap
@@ -356,7 +356,7 @@ class CosetTable:
 
     @property
     def cosets_allocated(self) -> int:
-        """Total cosets defined during enumeration, collapsed ones included."""
+        """Rows the table was built from: every coset an enumeration defined, collapsed ones included."""
         return self._allocated
 
     def _check(self, coset: int, indices: Sequence[int]) -> None:
@@ -588,18 +588,18 @@ class FiniteQuotient:
     """Finite exponent-n quotient of a free group, as a closed coset table.
 
     Elements are coset numbers; 0 is the identity.  The constructor is the
-    certificate: it checks ``g^n = 1`` for every element, which identifies
-    the quotient with the universal exponent-n quotient of the free group,
-    and raises ``ValueError`` when an element fails or n is not a positive
-    integer.  So every quotient is certified, and ``exponent_certified`` is
-    always true.  ``base_length`` is the longest base word whose n-th power
-    was used as a relator.  Representative words are read off the table's
-    spanning tree when asked, not stored.
+    certificate: it checks ``g^n = 1`` for every element, and raises
+    ``ValueError`` when an element fails or n is not a positive integer.
+    On a regular table, the multiplication table of a group with r
+    generators, that makes the group a quotient of the universal exponent-n
+    quotient B(r, n); a table of order |B(r, n)| is then B(r, n) itself.
+    So every quotient is certified, and ``exponent_certified`` is always
+    true.  Representative words are read off the table's spanning tree when
+    asked, not stored.
     """
 
     exponent: int
     table: CosetTable
-    base_length: int
 
     exponent_certified = True  # not annotated, so not a field
 
@@ -607,12 +607,10 @@ class FiniteQuotient:
         n, table = self.exponent, self.table
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"the exponent must be a positive integer, got {n!r}")
+        # the walk of rep_letters(e) from 0 ends at e, so g^n = 1 is the walk of n - 1 more from e
         for element in range(table.size):
-            if table.trace(0, table.rep_letters(element) * n) != 0:
-                raise ValueError(
-                    f"no exponent-{n} certificate for rank {self.rank} "
-                    f"with base words up to length {self.base_length}"
-                )
+            if table.trace(element, table.rep_letters(element) * (n - 1)) != 0:
+                raise ValueError(f"no exponent-{n} certificate for rank {self.rank}")
 
     @property
     def rank(self) -> int:
@@ -643,48 +641,78 @@ class FiniteQuotient:
         return self.table.trace(0, [i ^ 1 for i in reversed(self.table.rep_letters(x))])
 
 
-def _base_words(alphabet: InverseAlphabet, length: int) -> list[tuple[int, ...]]:
-    """Cyclically reduced primitive words of exact length, one per symmetry class.
+def _burnside_rows(rank: int, exponent: int) -> list[tuple[int, ...]]:
+    """Right-multiplication table of B(rank, exponent), rows by collected element.
 
-    Rotating a base word or inverting it yields the same normal closure
-    for its n-th power, and a proper power u^k contributes nothing beyond
-    u, so only canonical representatives are kept: each is least among
-    the rotations of itself and of its flip.  The list is in lexicographic
-    order, which fixes the relator order of :func:`burnside_oracle`.
+    Exponent 2: element e is the bit vector of (Z/2)^r, and both a_m and
+    a_m^-1 flip bit m.  Exponent 3: element e has one base-3 digit per
+    sorted key, a_i^x_i for key (i,), [a_i, a_j]^y_ij for (i, j) and
+    [a_i, a_j, a_k]^z_ijk for (i, j, k), in the collected order a^x c^y d^z,
+    with [a, b] = a^-1 b^-1 a b and [a, b, c] = [[a, b], c].  Right
+    multiplication by a_m collects to four updates of the old digits:
+    x_m += 1, y_mk -= x_k for k > m, z_mkl -= x_k x_l for m < k < l, and
+    z at sorted(i, j, m) += sign * y_ij for each pair i < j without m,
+    the sign being that of the permutation sorting (i, j, m).  No update
+    reads a digit another one writes, so they apply at once.  The column
+    of a_m^-1 is the inverse permutation of the column of a_m.
     """
-    out = []
-    for seq in product(range(len(alphabet.letters)), repeat=length):
-        if any(seq[k] == seq[k - 1] ^ 1 for k in range(length)):
-            continue
-        if _root_length(bytes(seq), 1) != length:
-            continue
-        flipped = tuple(i ^ 1 for i in reversed(seq))
-        if seq == min(s[r:] + s[:r] for s in (seq, flipped) for r in range(length)):
-            out.append(seq)
-    return out
+    if exponent == 2:
+        columns = []
+        for m in range(rank):
+            column = [e ^ (1 << m) for e in range(2**rank)]
+            columns += (column, column)
+        return list(zip(*columns))
+    keys = [key for size in (1, 2, 3) for key in combinations(range(rank), size)]
+    order = 3 ** len(keys)
+    weight = {key: 3**p for p, key in enumerate(keys)}
+    # element e is the sum of its digits times their weights; digit[key][e] is one of them
+    digit = {key: ([0] * w + [1] * w + [2] * w) * (order // (3 * w)) for key, w in weight.items()}
+    columns = []
+    for m in range(rank):
+        # (digit written, coefficient, digits whose product it is scaled by)
+        rules = [((m,), 1, ())]
+        rules += [((m, k), -1, ((k,),)) for k in range(m + 1, rank)]
+        rules += [((m, k, l), -1, ((k,), (l,))) for k, l in combinations(range(m + 1, rank), 2)]
+        rules += [
+            (tuple(sorted((i, j, m))), -1 if i < m < j else 1, ((i, j),))
+            for i, j in combinations(range(rank), 2)
+            if m not in (i, j)
+        ]
+        amounts: dict[tuple[int, ...], list[int]] = {}
+        for target, coefficient, sources in rules:
+            term = [coefficient] * order
+            for source in sources:
+                term = [t * d for t, d in zip(term, digit[source])]
+            if target in amounts:
+                term = [t + u for t, u in zip(term, amounts[target])]
+            amounts[target] = term
+        column = list(range(order))
+        for target, amount in amounts.items():
+            w = weight[target]
+            column = [e + w * ((d + u) % 3 - d) for e, d, u in zip(column, digit[target], amount)]
+        inverse = [0] * order
+        for e, f in enumerate(column):
+            inverse[f] = e
+        columns += (column, inverse)
+    return list(zip(*columns))
 
 
 _ORACLE_CACHE: dict[tuple[int, int], FiniteQuotient] = {}
 
-# Limits of burnside_oracle: the largest quotient order it attempts, and
-# the cosets its enumeration may allocate per element of the expected
-# order.  The enumerations need at most 2.25 times the order (4 929 cosets
-# for the 2 187 elements of B(3, 3)).
+# the largest quotient order burnside_oracle builds
 _ORDER_CAP = 10_000
-_COSETS_PER_ELEMENT = 20
 
 
 def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQuotient:
-    """The universal exponent-n quotient of the rank-r free group, n in {2, 3}.
+    """The universal exponent-n quotient B(r, n) of the rank-r free group, n in {2, 3}.
 
-    Relators are the n-th powers of the cyclically reduced base words of
-    length up to ``min(rank, n)``: for n = 2, a^2, b^2 and (ab)^2 force
-    ab = ba, and for n = 3 the certificate that :class:`FiniteQuotient`
-    checks on every build confirms the length.  The one enumeration may
-    allocate 20 cosets per element of the expected order, else
-    :class:`EnumerationIncomplete` propagates.  Quotients of order above
-    10 000 are refused.  Results are cached per (rank, exponent) unless
-    ``cached`` is false.
+    The table is the right-multiplication table of the group in its
+    collected normal form, (Z/2)^r for n = 2 and the class-3 nilpotent
+    group of Levi and van der Waerden for n = 3, so it is regular, with r
+    generators and order |B(r, n)|.  :class:`FiniteQuotient` certifies
+    exponent n, which makes the group a quotient of B(r, n); as the orders
+    agree, it is B(r, n).  Quotients of order above 10 000 are refused.
+    Results are cached per (rank, exponent) unless ``cached`` is false.
     """
     if exponent not in (2, 3):
         raise ValueError("only exponents 2 and 3 are finite cases handled here")
@@ -703,14 +731,8 @@ def burnside_oracle(rank: int, exponent: int, *, cached: bool = True) -> FiniteQ
         return _ORACLE_CACHE[key]
 
     alphabet = InverseAlphabet(_GENERATOR_NAMES[:rank])
-    base_length = min(rank, exponent)
-    relators = [
-        GroupWord.from_indices(alphabet, seq * exponent)
-        for length in range(1, base_length + 1)
-        for seq in _base_words(alphabet, length)
-    ]
-    table = todd_coxeter(rank, relators, max_cosets=_COSETS_PER_ELEMENT * expected_order)
-    quotient = FiniteQuotient(exponent, table, base_length)
+    table = CosetTable(alphabet, _burnside_rows(rank, exponent), allocated=expected_order)
+    quotient = FiniteQuotient(exponent, table)
     if cached:
         _ORACLE_CACHE[key] = quotient
     return quotient

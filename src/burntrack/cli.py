@@ -100,19 +100,21 @@ class SessionFile:
             raise SessionError(f"no object named {name!r} in the session") from None
 
 
-def _fail(path: str, lineno: int, message: str, line: str = "", token: str = "") -> SessionError:
-    """The error at ``path:lineno``, with the column of the first whole ``token`` of ``line``.
+def _fail(path: str, lineno: int, message: str, line: str = "", token: int | None = None) -> SessionError:
+    """The error at ``path:lineno``, with the column of token number ``token`` of ``line.split()``.
 
-    A whole token, so that vertex ``v`` is not found inside ``vmap``.
+    A position, not a text, so that a token repeated on the line is
+    reported where it repeats and vertex ``v`` is not found inside ``vmap``.
     """
     where = f"{path}:{lineno}"
-    start = 0
-    for word in line.split():
-        start = line.index(word, start)
-        if word == token:
-            where += f":{start + 1}"
-            break
-        start += len(word)
+    if token is not None:
+        start = 0
+        for k, word in enumerate(line.split()):
+            start = line.index(word, start)
+            if k == token:
+                where += f":{start + 1}"
+                break
+            start += len(word)
     return SessionError(f"{where}: {message}")
 
 
@@ -186,7 +188,7 @@ def parse_session(path: str) -> SessionFile:
 
     def check_fresh(name: str, lineno: int, line: str) -> None:
         if name in objects:
-            raise _fail(path, lineno, f"duplicate name {name!r}", line, name)
+            raise _fail(path, lineno, f"duplicate name {name!r}", line, 1)
 
     for lineno, line in lines:
         tokens = line.split()
@@ -208,7 +210,7 @@ def parse_session(path: str) -> SessionFile:
             check_fresh(name, lineno, line)
             kind, alphabet = objects.get(alph_name, (None, None))
             if kind != "alphabet":
-                raise _fail(path, lineno, f"undefined alphabet {alph_name!r}", line, alph_name)
+                raise _fail(path, lineno, f"undefined alphabet {alph_name!r}", line, 3)
             if head == "autom" and not alphabet.has_inverses:
                 raise _fail(path, lineno, "autom needs an inverse alphabet", line)
             images: dict[str, Word] = {}
@@ -217,7 +219,7 @@ def parse_session(path: str) -> SessionFile:
                     path, body_no, body, alphabet, warn_reduce=(head == "autom")
                 )
                 if key in images:
-                    raise _fail(path, body_no, f"duplicate image for {key!r}", body, key)
+                    raise _fail(path, body_no, f"duplicate image for {key!r}", body, 0)
                 images[key] = word
             from ._maps import Substitution
 
@@ -239,9 +241,9 @@ def parse_session(path: str) -> SessionFile:
             for body_no, body in _block_body(lines, path, lineno, line, head):
                 parts = body.split()
                 if parts[0] == "vertices:":
-                    for v in parts[1:]:
+                    for k, v in enumerate(parts[1:], start=1):
                         if v in vertices:
-                            raise _fail(path, body_no, f"duplicate vertex {v!r}", body, v)
+                            raise _fail(path, body_no, f"duplicate vertex {v!r}", body, k)
                         vertices.append(v)
                 elif parts[0] == "edge":
                     if len(parts) != 6 or parts[4] != "height":
@@ -249,30 +251,30 @@ def parse_session(path: str) -> SessionFile:
                     try:
                         h = int(parts[5])
                     except ValueError:
-                        raise _fail(path, body_no, f"bad height {parts[5]!r}", body, parts[5]) from None
+                        raise _fail(path, body_no, f"bad height {parts[5]!r}", body, 5) from None
                     if any(e[0] == parts[1] for e in edges):
-                        raise _fail(path, body_no, f"duplicate edge {parts[1]!r}", body, parts[1])
+                        raise _fail(path, body_no, f"duplicate edge {parts[1]!r}", body, 1)
                     edges.append((parts[1], parts[2], parts[3], h))
                 elif parts[0] == "vmap":
                     if len(parts) != 4 or parts[2] != "->":
                         raise _fail(path, body_no, "expected 'vmap <vertex> -> <vertex>'", body)
                     if parts[1] in vmap:
-                        raise _fail(path, body_no, f"duplicate image for vertex {parts[1]!r}", body, parts[1])
+                        raise _fail(path, body_no, f"duplicate image for vertex {parts[1]!r}", body, 1)
                     vmap[parts[1]] = parts[3]
                 elif parts[0] == "map":
                     if len(parts) < 4 or parts[2] != "->":
                         raise _fail(path, body_no, "expected 'map <edge> -> <tokens...>'", body)
                     if parts[1] in emap:
-                        raise _fail(path, body_no, f"duplicate image for edge {parts[1]!r}", body, parts[1])
+                        raise _fail(path, body_no, f"duplicate image for edge {parts[1]!r}", body, 1)
                     emap[parts[1]] = " ".join(parts[3:])
                 else:
-                    raise _fail(path, body_no, f"unexpected directive {parts[0]!r} in graphmap block", body, parts[0])
+                    raise _fail(path, body_no, f"unexpected directive {parts[0]!r} in graphmap block", body, 0)
             objects[name] = head, _load(
                 path, lineno, line, lambda: StratifiedGraphMap(Graph(vertices, edges), vmap, emap)
             )
             continue
 
-        raise _fail(path, lineno, f"unexpected directive {head!r}", line, head)
+        raise _fail(path, lineno, f"unexpected directive {head!r}", line, 0)
 
     return session
 

@@ -56,26 +56,39 @@ def order_formula(r, n):
     raise ValueError(n)
 
 
-# (rank, exponent) -> order, base length, cosets allocated and the first
-# 12 hex digits of the sha1 of the table's CSV, for every quotient the
-# oracle admits up to order 2 187.  (12, 2) and (13, 2) are left out for
-# their build time.
+# (rank, exponent) -> order, cosets allocated (the order: the oracle writes
+# one row per element) and the first 12 hex digits of the sha1 of the
+# table's CSV, for every quotient the oracle admits up to order 2 187.
+# (12, 2) and (13, 2) are left out for the build time of their enumeration.
 FROZEN_QUOTIENTS = {
-    (1, 2): (2, 1, 2, "dd9b4b2b7b5c"),
-    (2, 2): (4, 2, 4, "66c8b7905992"),
-    (3, 2): (8, 2, 8, "656357f0a2b1"),
-    (4, 2): (16, 2, 16, "c1015c3175c9"),
-    (5, 2): (32, 2, 32, "cb4f322bc7a6"),
-    (6, 2): (64, 2, 64, "0aff1a9f96e4"),
-    (7, 2): (128, 2, 128, "856ff59dc3b4"),
-    (8, 2): (256, 2, 256, "2acbe7253083"),
-    (9, 2): (512, 2, 512, "f6020c36ae9c"),
-    (10, 2): (1024, 2, 1024, "8465ff8b2fd7"),
-    (11, 2): (2048, 2, 2048, "71bbdfa358c6"),
-    (1, 3): (3, 1, 3, "7ad18336c29c"),
-    (2, 3): (27, 2, 33, "ddbda38fc01e"),
-    (3, 3): (2187, 3, 4929, "72c2142e21bf"),
+    (1, 2): (2, 2, "dd9b4b2b7b5c"),
+    (2, 2): (4, 4, "66c8b7905992"),
+    (3, 2): (8, 8, "656357f0a2b1"),
+    (4, 2): (16, 16, "c1015c3175c9"),
+    (5, 2): (32, 32, "cb4f322bc7a6"),
+    (6, 2): (64, 64, "0aff1a9f96e4"),
+    (7, 2): (128, 128, "856ff59dc3b4"),
+    (8, 2): (256, 256, "2acbe7253083"),
+    (9, 2): (512, 512, "f6020c36ae9c"),
+    (10, 2): (1024, 1024, "8465ff8b2fd7"),
+    (11, 2): (2048, 2048, "71bbdfa358c6"),
+    (1, 3): (3, 3, "7ad18336c29c"),
+    (2, 3): (27, 27, "ddbda38fc01e"),
+    (3, 3): (2187, 2187, "72c2142e21bf"),
 }
+
+# every (rank, exponent) the oracle admits under its order cap
+ADMITTED = [(r, 2) for r in range(1, 14)] + [(r, 3) for r in range(1, 4)]
+
+
+def power_relators(rank, exponent):
+    """n-th powers of the base words of length up to min(rank, n): a presentation of B(r, n)."""
+    alphabet = InverseAlphabet("abcdefghijklm"[:rank])
+    return [
+        GroupWord.from_indices(alphabet, seq * exponent)
+        for length in range(1, min(rank, exponent) + 1)
+        for seq in base_words_bruteforce(2 * rank, length)
+    ]
 
 
 def table_digest(table):
@@ -397,13 +410,8 @@ class TestToddCoxeter:
 
     def test_progress_leaves_the_table_unchanged(self, monkeypatch):
         monkeypatch.setattr(burnside, "_PROGRESS_EVERY", 256)
-        F3 = InverseAlphabet("abc")
-        # the relators on which burnside_oracle closes B(3, 3)
-        rels = [
-            GroupWord.from_indices(F3, seq * 3)
-            for length in (1, 2, 3)
-            for seq in burnside._base_words(F3, length)
-        ]
+        # the cubes of the base words of length up to 3, which present B(3, 3)
+        rels = power_relators(3, 3)
         seen = []
         t = todd_coxeter(3, rels, progress=lambda allocated, live: seen.append((allocated, live)))
         plain = todd_coxeter(3, rels)
@@ -509,13 +517,6 @@ class TestCosetTable:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_base_words_match_bruteforce(self, rank):
-        # the relator order fixes the coset enumeration, so order counts too
-        alph = InverseAlphabet("abcd"[:rank])
-        for length in (1, 2, 3):
-            assert burnside._base_words(alph, length) == base_words_bruteforce(2 * rank, length)
-
     @pytest.mark.parametrize("rank,exponent", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_orders_match_formula(self, rank, exponent):
         q = burnside_oracle(rank, exponent)
@@ -525,8 +526,31 @@ class TestOracle:
     @pytest.mark.parametrize("rank,exponent", sorted(FROZEN_QUOTIENTS))
     def test_frozen_tables(self, rank, exponent):
         q = burnside_oracle(rank, exponent, cached=False)
-        got = (q.order, q.base_length, q.table.cosets_allocated, table_digest(q.table))
+        got = (q.order, q.table.cosets_allocated, table_digest(q.table))
         assert got == FROZEN_QUOTIENTS[rank, exponent]
+
+    @pytest.mark.parametrize("rank,exponent", sorted(FROZEN_QUOTIENTS))
+    def test_enumeration_matches_the_oracle(self, rank, exponent):
+        # coset enumeration of a presentation by n-th powers is an
+        # independent route to the same standardized table
+        enumerated = todd_coxeter(rank, power_relators(rank, exponent))
+        assert enumerated.to_csv() == burnside_oracle(rank, exponent).table.to_csv()
+
+    def test_builds_without_coset_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("burnside_oracle enumerated cosets")
+
+        monkeypatch.setattr(burnside, "todd_coxeter", refuse)
+        for rank, exponent in ADMITTED:
+            q = burnside_oracle(rank, exponent, cached=False)
+            assert q.order == q.table.cosets_allocated == order_formula(rank, exponent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2186), st.integers(0, 2186), st.integers(0, 2186))
+    def test_rank_three_multiply_is_associative_with_trivial_cubes(self, x, y, z):
+        q = burnside_oracle(3, 3)
+        assert q.multiply(q.multiply(x, y), z) == q.multiply(x, q.multiply(y, z))
+        assert q.multiply(x, q.multiply(x, x)) == 0
 
     def test_cache(self):
         assert burnside_oracle(2, 3) is burnside_oracle(2, 3)
@@ -619,44 +643,11 @@ class TestOracle:
 
 
 class TestOracleBudget:
-    def record(self, monkeypatch):
-        """Patch todd_coxeter to log (coset limit, cosets allocated) per call."""
-        calls = []
-        real = burnside.todd_coxeter
-
-        def logged(rank, relators, max_cosets=1_000_000, **kw):
-            try:
-                table = real(rank, relators, max_cosets, **kw)
-            except EnumerationIncomplete as err:
-                calls.append((max_cosets, err.allocated))
-                raise
-            calls.append((max_cosets, table.cosets_allocated))
-            return table
-
-        monkeypatch.setattr(burnside, "todd_coxeter", logged)
-        return calls
-
-    def test_one_enumeration_budgeted_by_order(self, monkeypatch):
-        calls = self.record(monkeypatch)
-        burnside_oracle(3, 3, cached=False)
-        # base length min(3, 3) = 3, 20 cosets per element of B(3, 3)
-        assert calls == [(43_740, 4_929)]
-
-    @pytest.mark.parametrize("per_element", [1, 2])
-    def test_failure_names_the_limit(self, monkeypatch, per_element):
-        # B(3, 3) needs 4 929 cosets, more than 1 or 2 per element
-        monkeypatch.setattr(burnside, "_COSETS_PER_ELEMENT", per_element)
-        limit = per_element * order_formula(3, 3)
-        with pytest.raises(EnumerationIncomplete, match=f"against a limit of {limit}$"):
-            burnside_oracle(3, 3, cached=False)
-
     def test_failed_certificate_names_the_base_length(self):
         # Z/5 has elements whose cube is not the identity
         with pytest.raises(ValueError) as err:
-            FiniteQuotient(3, z5_table(), 1)
-        assert str(err.value) == (
-            "no exponent-3 certificate for rank 1 with base words up to length 1"
-        )
+            FiniteQuotient(3, z5_table())
+        assert str(err.value) == "no exponent-3 certificate for rank 1"
 
 
 class TestMoveSoundness:
@@ -723,12 +714,12 @@ class TestInducedOrder:
         # only a certified quotient can be built, so none reaches induced_order
         # unchecked; a non-positive exponent would certify vacuously
         table = z5_table()
-        q = FiniteQuotient(5, table, 1)
+        q = FiniteQuotient(5, table)
         assert (q.rank, q.order, q.exponent_certified) == (1, 5, True)
         assert induced_order(BasisMap.identity(q.alphabet), q) == Order(1)
         for exponent in (0, -2):
             with pytest.raises(ValueError, match="positive integer"):
-                FiniteQuotient(exponent, table, 1)
+                FiniteQuotient(exponent, table)
 
     def test_rejects_non_automorphism(self):
         import warnings

@@ -218,17 +218,25 @@ class TestSessionParse:
 
     @pytest.mark.parametrize(
         "vertices, where",
-        [("  vertices: u\n  vertices: u\n", "3:13"), ("  vertices: u u\n", "2:13")],
+        [("  vertices: u\n  vertices: u\n", "3:13"), ("  vertices: u u\n", "2:15")],
         ids=["two-lines", "one-line"],
     )
     def test_duplicate_vertex(self, tmp_path, vertices, where):
         # a repeated vertex is an error, like a repeated edge; on one line
-        # the column is the vertex's first on that line
+        # the column is that of the repeat, not of the first occurrence
         p = tmp_path / "v.bt"
         p.write_text(
             f"graphmap m\n{vertices}  edge e u u height 1\n  vmap u -> u\n  map e -> e\nend\n"
         )
         with pytest.raises(SessionError, match=rf"v\.bt:{where}: duplicate vertex 'u'$"):
+            parse_session(str(p))
+
+    def test_bad_height_column(self, tmp_path):
+        # the height token equals a vertex name earlier on the line; the
+        # column is the height's
+        p = tmp_path / "h.bt"
+        p.write_text("graphmap m\n  vertices: u\n  edge e u u height u\n  vmap u -> u\n  map e -> e\nend\n")
+        with pytest.raises(SessionError, match=r"h\.bt:3:21: bad height 'u'$"):
             parse_session(str(p))
 
     @pytest.mark.parametrize(
